@@ -2,23 +2,17 @@
 
 The serving workload the store exists for: many concurrent sessions
 committing small disjoint transactions against a five-relation state
-(~n rows per relation), every commit axiom-gated.  Three engines are
-timed on the same traffic:
-
-* ``delta`` — targeted O(|delta|) validation plus lhs-group optimistic
-  concurrency (this PR's store gate);
-* ``audit`` — every commit runs the full dirty-context ``check_all``
-  (PR 4's incremental audits, serialised behind the commit lock);
-* ``serial`` — the global-lock baseline: each commit rebuilds the state
-  through the public constructor and audits it cold (the pre-delta
-  behaviour of the library, and the contrast target of the acceptance
-  gate: delta must beat it by >= 5x on disjoint writers).
+(~n rows per relation), every commit axiom-gated by the engine's one
+validator — targeted O(|delta|) probes plus lhs-group optimistic
+concurrency.
 
 Each benchmark round commits a fixed batch of disjoint ``manager``
 inserts across ``WRITERS`` threads against a *fresh* engine (pedantic
 mode: engine construction — root audit, probe indexes — happens in
-setup, untimed), so ``min_s / COMMITS[mode]`` is the per-commit cost
-and ``COMMITS[mode] / min_s`` the commits/s the mode sustains.
+setup, untimed), so ``min_s / COMMITS`` is the per-commit cost and
+``COMMITS / min_s`` the commits/s the store sustains.  The ≥5x gate
+over a global-lock baseline (constructor rebuild + cold audit per
+commit) lives in ``tests/test_store_concurrency.py``.
 
 A second benchmark times WAL replay (trusted mode) of a committed
 history and asserts the rebuilt graph equals the original.
@@ -41,9 +35,7 @@ from repro.workloads import (
 
 SIZES = [200, 1000]
 WRITERS = 8
-# Batch sizes per benchmark round, scaled to each mode's per-commit cost
-# so a round stays in sensible benchmark territory.
-COMMITS = {"delta": 240, "audit": 48, "serial": 4}
+COMMITS = 240
 
 _STATES: dict[int, tuple] = {}
 
@@ -71,38 +63,21 @@ def _commit_batch(engine: StoreEngine, specs) -> StoreEngine:
     return engine
 
 
-def _throughput_case(benchmark, rows: int, mode: str):
+@pytest.mark.parametrize("rows", SIZES)
+def test_a9_store_commits_delta(benchmark, rows):
+    """Targeted delta gate + optimistic concurrency."""
     schema, db, constraints = state(rows)
     # Fresh manager slots cap the batch at small sizes (2n/3 available).
-    count = min(COMMITS[mode], (2 * rows) // 3 - 2)
+    count = min(COMMITS, (2 * rows) // 3 - 2)
     specs = disjoint_commit_specs(manager_stream(rows, count), WRITERS)
 
     def fresh():
-        return (StoreEngine(db, constraints, validation=mode), specs), {}
+        return (StoreEngine(db, constraints), specs), {}
 
     engine = benchmark.pedantic(_commit_batch, setup=fresh,
                                 rounds=5, iterations=1)
     assert len(engine.graph) == count + 1
-    assert engine.validation == mode
     assert engine.audit().ok()
-
-
-@pytest.mark.parametrize("rows", SIZES)
-def test_a9_store_commits_delta(benchmark, rows):
-    """Targeted delta gate + optimistic concurrency (the store's mode)."""
-    _throughput_case(benchmark, rows, "delta")
-
-
-@pytest.mark.parametrize("rows", SIZES)
-def test_a9_store_commits_audit(benchmark, rows):
-    """Full dirty-context audit per commit (PR 4 tech under the lock)."""
-    _throughput_case(benchmark, rows, "audit")
-
-
-@pytest.mark.parametrize("rows", SIZES)
-def test_a9_store_commits_seriallock(benchmark, rows):
-    """Global-lock baseline: constructor rebuild + cold audit per commit."""
-    _throughput_case(benchmark, rows, "serial")
 
 
 @pytest.mark.parametrize("rows", [1000])

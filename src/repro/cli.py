@@ -181,8 +181,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     wal = args.wal
     if wal is not None and args.segment_records is not None:
         wal = WriteAheadLog(wal, segment_records=args.segment_records)
-    engine = StoreEngine(db, constraints, validation=args.mode,
-                         wal=wal, checkpoint_every=args.checkpoint_every)
+    engine = StoreEngine(db, constraints, wal=wal,
+                         checkpoint_every=args.checkpoint_every)
     if args.listen is not None:
         from repro.server import StoreServer
 
@@ -192,7 +192,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 StoreServer(engine, host, port,
                             max_connections=args.max_connections,
                             idle_timeout=args.idle_timeout),
-                f"serving {args.document} ({engine.validation} mode)")
+                f"serving {args.document}")
         finally:
             engine.close()
     service = SessionService(engine)
@@ -241,7 +241,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     summary = {
         "txns": args.txns,
         "threads": args.threads,
-        "mode": engine.validation,
         **counts,
         "versions": len(engine.graph),
         "head": engine.head_version().vid,
@@ -253,7 +252,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        for key in ("txns", "threads", "mode", "committed", "rejected",
+        for key in ("txns", "threads", "committed", "rejected",
                     "conflicts", "noop", "versions", "head", "seconds",
                     "commits_per_s"):
             print(f"{key}: {summary[key]}")
@@ -713,9 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="transactions to generate (default 100)")
     p_serve.add_argument("--threads", type=int, default=4,
                          help="concurrent writer sessions (default 4)")
-    p_serve.add_argument("--mode", default="delta",
-                         choices=("delta", "audit", "serial"),
-                         help="commit validation mode (default delta)")
     p_serve.add_argument("--wal", default=None,
                          help="write-ahead log path (durable commits)")
     p_serve.add_argument("--seed", type=int, default=0,

@@ -174,8 +174,8 @@ class TransactionConflict(StoreError):
     ----------
     keys:
         Tuple of the overlapping ``(relation, attrs, projected-row)``
-        conflict keys (empty when a wholesale replace forced the
-        conflict).  Retrying against the new head usually succeeds.
+        conflict keys.  Retrying against the new head usually
+        succeeds.
     """
 
     def __init__(self, message: str, keys: tuple = ()):

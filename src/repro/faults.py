@@ -419,19 +419,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._close_socket(self._listener)
             self._listener = None
         with self._lock:
             pairs, self._pairs = self._pairs, []
         for a, b in pairs:
-            for s in (a, b):
-                try:
-                    s.close()
-                except OSError:
-                    pass
+            self._close_pair(a, b)
         for t in [self._accept_thread, *self._threads]:
             if t is not None:
                 t.join(1.0)
@@ -470,12 +463,22 @@ class ChaosProxy:
                 t.start()
                 self._threads.append(t)
 
+    @staticmethod
+    def _close_socket(s: socket.socket) -> None:
+        # close() alone does not wake a thread blocked in accept()/recv()
+        # on the same socket (Linux); shutdown() does.
+        try:
+            s.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or already shut down
+        try:
+            s.close()
+        except OSError:
+            pass
+
     def _close_pair(self, a: socket.socket, b: socket.socket) -> None:
-        for s in (a, b):
-            try:
-                s.close()
-            except OSError:
-                pass
+        self._close_socket(a)
+        self._close_socket(b)
 
     @staticmethod
     def _frame_op(frame: bytes) -> str | None:

@@ -1,10 +1,9 @@
 """Dependency-free metrics: counters, gauges, fixed-bucket histograms.
 
-The registry is the one place runtime counts live.  PRs 5-9 grew ad-hoc
-integer attributes (``StoreServer._commits``, ``ClientPool._evicted``,
-``ReadBalancer.reads`` ...) that only tests ever read; this module gives
-them a shared, thread-safe home that the ``metrics`` wire op and the
-``repro metrics`` CLI can serve uniformly.
+The registry is the one place runtime counts live: server, pool,
+balancer and engine counters are registry instruments, read by the
+``metrics`` wire op, the ``status`` op and the ``repro metrics`` CLI
+alike, so every count has one thread-safe home.
 
 Design points:
 

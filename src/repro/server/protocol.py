@@ -12,7 +12,7 @@ message is one JSON object.  Requests carry a client-chosen ``id``
     (``"primary"`` or ``"replica"``), ``epoch`` (the promotion epoch
     the served graph is at — failover clients refuse primaries whose
     epoch regressed below one they have seen), ``branches``,
-    ``relations``, ``validation``.
+    ``relations``.
 ``ping``
     Liveness probe.  Response: ``{"pong": true}``.
 ``begin``

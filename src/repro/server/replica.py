@@ -58,9 +58,6 @@ class ReplicaEngine:
         validation (the distrusting mode); the default trusts the
         primary's gate and installs records directly, which still
         re-derives every state and checks version-id agreement.
-    validation:
-        Validation mode for the inner engine (only consulted under
-        ``verify``).
     follow_epochs:
         When ``True`` (default) the replica follows promotion ``epoch``
         records — its graph tracks whichever primary currently owns
@@ -78,11 +75,9 @@ class ReplicaEngine:
     cursor used to follow.
     """
 
-    def __init__(self, wal_path: str | Path, validation: str = "delta",
-                 from_checkpoint: bool = True, verify: bool = False,
-                 follow_epochs: bool = True):
+    def __init__(self, wal_path: str | Path, from_checkpoint: bool = True,
+                 verify: bool = False, follow_epochs: bool = True):
         self.wal_path = Path(wal_path)
-        self.validation = validation
         self.from_checkpoint = from_checkpoint
         self.verify = verify
         self.follow_epochs = follow_epochs
@@ -188,7 +183,7 @@ class ReplicaEngine:
                 current=int(record.get("epoch", 0)))
         if self._engine is None:
             self._engine = StoreEngine.from_wal_record(
-                record, validation=self.validation, verify=self.verify)
+                record, verify=self.verify)
             if self.metrics is not None:
                 self._engine.attach_observability(
                     self.metrics, self.tracer,

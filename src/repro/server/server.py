@@ -103,8 +103,7 @@ class StoreServer:
         (``attach_observability``), so a plain ``serve --listen``
         already records commit-phase histograms; pass shared instances
         to aggregate several servers into one registry.  The server's
-        own counters (``server.*``) live in the registry; the old
-        ``_commits``-style attributes remain as read-only views.
+        own counters (``server.*``) live only in the registry.
     slow_commit_threshold:
         Seconds past which a commit lands in the engine's structured
         slow-commit log (default 0.1; ``None`` disables the log).
@@ -158,37 +157,6 @@ class StoreServer:
         self._c_frames_served = m.counter("server.frames_served")
         self._c_bad_frames = m.counter("server.bad_frames")
         self._c_idle_closed = m.counter("server.idle_closed")
-
-    # The pre-registry counter attributes, kept as read-only views so
-    # existing tests and callers keep working; the registry is the
-    # source of truth.
-    @property
-    def _connections(self) -> int:
-        return int(self._g_connections.value)
-
-    @property
-    def _inflight_commits(self) -> int:
-        return int(self._g_inflight.value)
-
-    @property
-    def _commits(self) -> int:
-        return self._c_commits.value
-
-    @property
-    def _rejected_overloaded(self) -> int:
-        return self._c_rejected_overloaded.value
-
-    @property
-    def _frames_served(self) -> int:
-        return self._c_frames_served.value
-
-    @property
-    def _bad_frames(self) -> int:
-        return self._c_bad_frames.value
-
-    @property
-    def _idle_closed(self) -> int:
-        return self._c_idle_closed.value
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -314,7 +282,7 @@ class StoreServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        if self._connections >= self.max_connections:
+        if self._g_connections.value >= self.max_connections:
             self._c_rejected_overloaded.inc()
             await self._send(writer, protocol.error_response(
                 None, "overloaded",
@@ -447,8 +415,7 @@ class StoreServer:
             role="replica" if self.read_only else "primary",
             epoch=summary.get("epoch", 0),
             branch=branch, branches=summary["branches"],
-            relations=summary["relations"],
-            validation=summary["validation"])
+            relations=summary["relations"])
 
     async def _op_ping(self, conn, rid, message) -> dict:
         return protocol.ok_response(rid, pong=True)
@@ -476,15 +443,15 @@ class StoreServer:
             epoch=summary.get("epoch", 0),
             ready=True,
             counters=self._status_counters(),
-            connections=self._connections,
+            connections=int(self._g_connections.value),
             max_connections=self.max_connections,
-            inflight_commits=self._inflight_commits,
+            inflight_commits=int(self._g_inflight.value),
             max_inflight_commits=self.max_inflight_commits,
-            commits=self._commits,
-            frames_served=self._frames_served,
-            bad_frames=self._bad_frames,
-            rejected_overloaded=self._rejected_overloaded,
-            idle_closed=self._idle_closed,
+            commits=self._c_commits.value,
+            frames_served=self._c_frames_served.value,
+            bad_frames=self._c_bad_frames.value,
+            rejected_overloaded=self._c_rejected_overloaded.value,
+            idle_closed=self._c_idle_closed.value,
             live_sessions=len(self.service.live_sessions()),
             seq=summary["seq"], versions=summary["versions"],
             branches=summary["branches"]))

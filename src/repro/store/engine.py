@@ -9,25 +9,16 @@ construction (``check_all`` plus every integrity constraint), and a
 commit only installs a successor its validation admitted — so every
 version ever served satisfies the design axioms.
 
-Three validation modes, forming the store's own naive-to-kernel ladder
-(benchmarked against each other in ``bench_a9_store_throughput``):
-
-* ``"delta"`` (default) — targeted O(|delta|) probes
-  (:func:`~repro.store.txn.validate_changes`) against the head plus a
-  mutable head probe index; optimistic concurrency at ``(relation,
-  lhs-group)`` granularity lets disjoint writers commit back to back
-  without re-auditing, and the critical section is O(|delta|).
-* ``"audit"`` — every commit derives the candidate state and runs the
-  full dirty-context ``check_all`` (PR 4's chained caches +
-  ``CheckSet.recheck``); general — custom constraint kinds, wholesale
-  replaces — but re-serialises the audit behind the lock.
-* ``"serial"`` — the global-lock baseline: the candidate is rebuilt
-  through the public constructor (full re-validation) and audited cold,
-  the pre-delta behaviour of the library.
-
-Commits that buffer a wholesale ``replace`` are routed through the
-audit path even in ``"delta"`` mode (their footprint is unbounded) and
-conflict with every concurrent commit.
+Every commit goes through one validator: targeted O(|delta|) probes
+(:func:`~repro.store.txn.validate_changes`) against the head plus a
+mutable head probe index, and — only when the delta touches a relation
+one of them ranges over — the constraint kinds the probes cannot
+factor, judged whole on the derived candidate
+(:func:`~repro.store.txn.custom_findings`).  A ``replace`` is expanded
+into the rows it removes and adds, so it is judged like any other
+delta.  ``check_all`` runs only as the independent audit: of the root,
+in :meth:`StoreEngine.audit`, and on restored checkpoints under
+verified replay.
 
 Concurrency contract: reads are lock-free (states are immutable and the
 graph is append-only); one engine lock serialises commit installation.
@@ -36,7 +27,8 @@ its base raises :class:`~repro.errors.TransactionConflict` (first
 committer wins); disjoint footprints are rebased onto the head
 automatically — sound because validation probes and conflict keys are
 drawn from the *same* probe family, so a disjoint commit cannot disturb
-the groups this one's validation judged.
+the groups this one's validation judged.  Every footprint is bounded,
+a replace's included: it conflicts only on the groups it changes.
 """
 
 from __future__ import annotations
@@ -61,7 +53,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.store.txn import (
     Transaction,
     ValidationPlan,
-    findings_from_report,
+    custom_findings,
     validate_changes,
     write_footprint,
 )
@@ -73,8 +65,6 @@ from repro.store.wal import (
     commit_record,
     snapshot_record,
 )
-
-VALIDATION_MODES = ("delta", "audit", "serial")
 
 # The commit path reads its clock unconditionally; with observability
 # detached the clock is this constant zero — six trivial calls per
@@ -88,21 +78,12 @@ _ZERO_CLOCK = lambda: 0.0  # noqa: E731
 COMMIT_PHASES = ("rebase", "validate", "derive", "wal_append", "total")
 
 
-def _render_groups(writes: frozenset | None, limit: int = 8):
+def _render_groups(writes: frozenset, limit: int = 8) -> list:
     """The touched lhs-groups of a commit footprint, JSON-codable:
     ``[relation, sorted-attrs, repr(projected-row)]`` per group, capped
-    at ``limit``; ``None`` for an unbounded footprint (wholesale
-    replace)."""
-    if writes is None:
-        return None
-    out = []
-    for key in sorted(writes, key=repr)[:limit]:
-        try:
-            relation, attrs, row = key
-            out.append([relation, sorted(str(a) for a in attrs), repr(row)])
-        except (TypeError, ValueError):
-            out.append([repr(key)])
-    return out
+    at ``limit``."""
+    return [[relation, sorted(str(a) for a in attrs), repr(row)]
+            for relation, attrs, row in sorted(writes, key=repr)[:limit]]
 
 
 class ProbeIndex:
@@ -140,9 +121,9 @@ class ProbeIndex:
             return None
         return groups.get(key, ())
 
-    def apply(self, changes, state_after: DatabaseExtension) -> None:
+    def apply(self, changes) -> None:
         """Advance the index past one committed delta (O(|delta|) per
-        probe; a replaced relation rebuilds its probes wholesale)."""
+        probe)."""
         for name, rows in changes.removed.items():
             for attrs, groups in self._by_name.get(name, ()):
                 for t in rows:
@@ -156,11 +137,6 @@ class ProbeIndex:
         for name, rows in changes.added.items():
             for attrs, groups in self._by_name.get(name, ()):
                 for t in rows:
-                    groups.setdefault(t.project(attrs), []).append(t)
-        for name in changes.replaced:
-            for attrs, groups in self._by_name.get(name, ()):
-                groups.clear()
-                for t in state_after.R(name).tuples:
                     groups.setdefault(t.project(attrs), []).append(t)
 
 
@@ -182,10 +158,12 @@ class StoreEngine:
         A segmented :class:`WriteAheadLog` instance (rotation bounds or
         a directory path) gives the log bounded segments that
         :meth:`checkpoint` heads and :meth:`WriteAheadLog.prune` drops.
-    validation:
-        One of ``"delta"`` / ``"audit"`` / ``"serial"`` (see the module
-        docstring).  ``"delta"`` silently degrades to ``"audit"`` when
-        the constraint set contains kinds it cannot probe incrementally.
+        Any :class:`~repro.core.integrity.IntegrityConstraint` kind
+        is accepted: functional, cardinality, subset and participation
+        constraints are judged through the probe index, any other kind
+        (a :class:`~repro.core.DomainConstraint`, say) whole on the
+        candidate state of each commit that touches a relation it
+        ranges over.
     checkpoint_every:
         When set, a checkpoint record is written automatically after
         every N commits (WAL-backed engines only) — the knob that keeps
@@ -195,16 +173,11 @@ class StoreEngine:
     def __init__(self, root: DatabaseExtension,
                  constraints: ConstraintSet | Iterable = (),
                  branch: str = "main",
-                 validation: str = "delta",
                  wal: WriteAheadLog | str | Path | None = None,
                  sync: bool = False,
                  audit_root: bool = True,
                  checkpoint_every: int | None = None,
                  _floor: tuple | None = None):
-        if validation not in VALIDATION_MODES:
-            raise StoreError(
-                f"unknown validation mode {validation!r}; "
-                f"expected one of {VALIDATION_MODES}")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise StoreError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -222,9 +195,6 @@ class StoreEngine:
                     "root state is inconsistent; a store only serves "
                     "axiom-valid states:\n" + report.render())
         self.plan = ValidationPlan(root, self.constraints)
-        if validation == "delta" and not self.plan.incremental_ok:
-            validation = "audit"
-        self.validation = validation
         self._lock = threading.Lock()
         self._indexes: dict[str, ProbeIndex] = {}
         self._pins: dict[str, int] = {}
@@ -242,9 +212,8 @@ class StoreEngine:
                                       root_vid=entries[0][0], seq=seq)
             for vid, floor_branch, state in entries[1:]:
                 self.graph.add_floor(vid, floor_branch, state)
-        if validation == "delta":
-            for name, head in self.graph.heads.items():
-                self._indexes[name] = ProbeIndex(self.plan, head.state)
+        for name, head in self.graph.heads.items():
+            self._indexes[name] = ProbeIndex(self.plan, head.state)
         if wal is not None:
             target = wal.path if isinstance(wal, WriteAheadLog) else Path(wal)
             if not WriteAheadLog.is_empty(target):
@@ -342,15 +311,13 @@ class StoreEngine:
     def describe(self) -> dict:
         """A summary of the store for protocol handshakes and status
         probes: branches with their head version ids, the sequence
-        counter, the promotion epoch, the relation names served, and
-        the validation mode."""
+        counter, the promotion epoch, and the relation names served."""
         return {
             "branches": self.graph.branches(),
             "seq": self.graph.seq,
             "epoch": self._epoch,
             "versions": len(self.graph),
             "relations": sorted(e.name for e in self.schema),
-            "validation": self.validation,
         }
 
     def audit(self, vid: str | None = None,
@@ -380,8 +347,7 @@ class StoreEngine:
             if self.wal is not None:
                 self.wal.append(branch_record(name, version.vid))
             self.graph.create_branch(name, version)
-            if self.validation == "delta":
-                self._indexes[name] = ProbeIndex(self.plan, version.state)
+            self._indexes[name] = ProbeIndex(self.plan, version.state)
             return version
 
     def commit(self, txn: Transaction) -> Version:
@@ -413,7 +379,7 @@ class StoreEngine:
         try:
             with self._lock:
                 head = self.graph.head(txn.branch)
-                index = self._indexes.get(txn.branch)
+                index = self._indexes[txn.branch]
                 changes = txn.net_changes(head.state, index)
                 if not changes:
                     txn.committed = True
@@ -433,20 +399,10 @@ class StoreEngine:
                 t2 = clock()
                 if candidate is None:
                     candidate = head.state.apply_changes(
-                        changes.added, changes.removed, changes.replaced,
-                        validate=False)
+                        changes.added, changes.removed, validate=False)
                 t3 = clock()
-                if self.wal is not None:
-                    self.wal.append(commit_record(
-                        self.graph.next_vid(), head.vid, txn.branch,
-                        txn.ops))
-                t4 = clock()
-                version = self.graph.add_commit(head, candidate, writes,
-                                                tuple(txn.ops), txn.branch)
-                if index is not None:
-                    index.apply(changes, candidate)
-                txn.committed = True
-                self._after_commit_locked()
+                version, t4 = self._install_locked(txn, head, changes,
+                                                   writes, candidate, clock)
         except TransactionConflict:
             if counters is not None:
                 counters["conflicts"].inc()
@@ -503,7 +459,7 @@ class StoreEngine:
         if self.wal is not None:
             self.wal.probe = WalProbe(metrics)
 
-    def _record_commit(self, version: Version, writes: frozenset | None,
+    def _record_commit(self, version: Version, writes: frozenset,
                        t0: float, t1: float, t2: float, t3: float,
                        t4: float, t5: float) -> None:
         """Bookkeeping for one landed commit, outside the critical
@@ -530,8 +486,7 @@ class StoreEngine:
             tracer.record({
                 "name": "store.commit",
                 "start": t0, "end": t5, "duration": total,
-                "tags": {"version": version.vid,
-                         "groups": None if writes is None else len(writes)},
+                "tags": {"version": version.vid, "groups": len(writes)},
                 "spans": [
                     phase("commit.rebase", t0, t1),
                     phase("commit.validate", t1, t2),
@@ -549,7 +504,7 @@ class StoreEngine:
                 "phases": {"rebase": rebase, "validate": validate,
                            "derive": derive, "wal_append": wal_append,
                            "fsync": fsync},
-                "group_count": None if writes is None else len(writes),
+                "group_count": len(writes),
                 "groups": _render_groups(writes),
             })
 
@@ -563,16 +518,13 @@ class StoreEngine:
             self._checkpoint_locked()
 
     def _check_conflicts(self, txn: Transaction, head: Version,
-                         writes: frozenset | None) -> None:
+                         writes: frozenset) -> None:
         span = self.graph.span(txn.base.vid, head)
         if span is None:
             raise StoreError(
                 f"base version {txn.base.vid} is not an ancestor of the "
                 f"{txn.branch!r} head {head.vid}")
         for version in span:
-            if writes is None or version.writes is None:
-                raise TransactionConflict(
-                    f"unbounded footprint overlaps commit {version.vid}")
             overlap = writes & version.writes
             if overlap:
                 raise TransactionConflict(
@@ -581,23 +533,35 @@ class StoreEngine:
                     keys=tuple(sorted(overlap, key=repr)))
 
     def _validate(self, head_state: DatabaseExtension, changes, index):
-        """(candidate, findings) for one delta under the engine's mode;
-        candidate is ``None`` when the targeted validator judged the
-        delta without deriving the successor state."""
-        if self.validation == "serial":
-            derived = head_state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=True)
-            candidate = DatabaseExtension(
-                self.schema, {e.name: derived.R(e) for e in self.schema},
-                head_state.contributors)
-            return candidate, findings_from_report(self._audit(candidate))
-        if self.validation == "audit" or changes.replaced:
-            candidate = head_state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=False)
-            return candidate, findings_from_report(self._audit(candidate))
-        return None, validate_changes(self.plan, head_state, changes, index)
+        """(candidate, findings) for one delta: the probe checks, then
+        the plan's custom constraints on the derived candidate when the
+        delta touches one.  ``candidate`` is ``None`` when no custom
+        constraint needed it."""
+        findings = validate_changes(self.plan, head_state, changes, index)
+        if not self.plan.custom:
+            return None, findings
+        candidate = head_state.apply_changes(
+            changes.added, changes.removed, validate=False)
+        return candidate, findings + custom_findings(self.plan, changes,
+                                                     candidate)
+
+    def _install_locked(self, txn: Transaction, head: Version, changes,
+                        writes: frozenset, candidate: DatabaseExtension,
+                        clock=_ZERO_CLOCK) -> tuple[Version, float]:
+        """Log, then publish, one admitted delta — the install step
+        :meth:`commit` and trusted replay share.  The WAL record lands
+        before the graph advances.  Returns the new version and the
+        ``clock`` reading right after the WAL append."""
+        if self.wal is not None:
+            self.wal.append(commit_record(
+                self.graph.next_vid(), head.vid, txn.branch, txn.ops))
+        appended = clock()
+        version = self.graph.add_commit(head, candidate, writes,
+                                        tuple(txn.ops), txn.branch)
+        self._indexes[txn.branch].apply(changes)
+        txn.committed = True
+        self._after_commit_locked()
+        return version, appended
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -736,7 +700,6 @@ class StoreEngine:
     # ------------------------------------------------------------------
     @classmethod
     def replay(cls, wal_path: str | Path,
-               validation: str = "delta",
                verify: bool = False,
                wal: WriteAheadLog | str | Path | None = None,
                from_checkpoint: bool = True,
@@ -797,16 +760,14 @@ class StoreEngine:
             first = next(records)
         except StopIteration:
             raise StoreError(f"empty WAL: {wal_path}") from None
-        engine = cls.from_wal_record(first, validation=validation,
-                                     verify=verify, wal=wal,
+        engine = cls.from_wal_record(first, verify=verify, wal=wal,
                                      checkpoint_every=checkpoint_every)
         for record in records:
             engine.apply_wal_record(record, verify=verify)
         return engine
 
     @classmethod
-    def from_wal_record(cls, record: dict, validation: str = "delta",
-                        verify: bool = False,
+    def from_wal_record(cls, record: dict, verify: bool = False,
                         wal: WriteAheadLog | str | Path | None = None,
                         checkpoint_every: int | None = None,
                         ) -> "StoreEngine":
@@ -822,11 +783,11 @@ class StoreEngine:
         if kind == "snapshot":
             db, constraint_set = io.database_from_dict(record["document"])
             return cls(db, constraint_set, branch=record["branch"],
-                       validation=validation, wal=wal, audit_root=verify,
+                       wal=wal, audit_root=verify,
                        checkpoint_every=checkpoint_every)
         if kind == "checkpoint":
             return cls._restore_checkpoint(
-                record, validation=validation, verify=verify, wal=wal,
+                record, verify=verify, wal=wal,
                 checkpoint_every=checkpoint_every)
         raise StoreError(
             "WAL must start with a snapshot or checkpoint record, "
@@ -870,9 +831,11 @@ class StoreEngine:
         parent = self.graph.get(record["parent"])
         txn = Transaction.from_records(self.schema, parent,
                                        record["branch"], record["ops"])
-        if verify:
-            version = self.commit(txn)
-        else:
+        version = self.commit(txn) if verify else None
+        if version is None or version is parent:
+            # Trusted replay, or a logged commit with no net effect
+            # (older logs record a replace even when it changed
+            # nothing): install it, so version ids line up.
             version = self._install_unverified(txn)
         if version.vid != record["version"]:
             raise StoreError(
@@ -922,8 +885,7 @@ class StoreEngine:
         return wal
 
     @classmethod
-    def _restore_checkpoint(cls, record: dict, validation: str,
-                            verify: bool, wal,
+    def _restore_checkpoint(cls, record: dict, verify: bool, wal,
                             checkpoint_every: int | None) -> "StoreEngine":
         """An engine whose graph starts at the checkpoint's floor: each
         branch head decoded from its document, the id sequence resumed
@@ -943,7 +905,7 @@ class StoreEngine:
         entries.sort(key=lambda e: (int(e[0][1:]), e[1]))
         root_vid, root_branch, root_state = entries[0]
         engine = cls(root_state, constraint_set, branch=root_branch,
-                     validation=validation, wal=wal, audit_root=verify,
+                     wal=wal, audit_root=verify,
                      checkpoint_every=checkpoint_every,
                      _floor=(record["seq"], entries,
                              int(record.get("epoch", 0))))
@@ -993,21 +955,12 @@ class StoreEngine:
         rebuilt graph is structurally identical."""
         with self._lock:
             head = self.graph.head(txn.branch)
-            index = self._indexes.get(txn.branch)
-            changes = txn.net_changes(head.state, index)
-            writes = write_footprint(self.plan, changes)
+            changes = txn.net_changes(head.state, self._indexes[txn.branch])
             candidate = head.state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=False)
-            if self.wal is not None:
-                self.wal.append(commit_record(
-                    self.graph.next_vid(), head.vid, txn.branch, txn.ops))
-            version = self.graph.add_commit(head, candidate, writes,
-                                            tuple(txn.ops), txn.branch)
-            if index is not None:
-                index.apply(changes, candidate)
-            txn.committed = True
-            self._after_commit_locked()
+                changes.added, changes.removed, validate=False)
+            version, _ = self._install_locked(
+                txn, head, changes, write_footprint(self.plan, changes),
+                candidate)
             return version
 
     def close(self) -> None:
@@ -1016,5 +969,4 @@ class StoreEngine:
 
     def __repr__(self) -> str:
         return (f"StoreEngine({len(self.graph)} versions, "
-                f"branches={self.graph.branches()}, "
-                f"validation={self.validation!r})")
+                f"branches={self.graph.branches()})")

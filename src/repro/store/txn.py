@@ -4,8 +4,11 @@ A :class:`Transaction` buffers ``insert``/``delete``/``remove``/
 ``replace`` calls against a pinned base version.  Nothing touches shared
 state until the engine commits it; at commit time the buffered
 operations are expanded — against the *current branch head*, not the
-possibly stale base — into their net row effect (:class:`Changes`),
-which lands as one :meth:`~repro.core.extension.DatabaseExtension.apply_changes`
+possibly stale base — into their net row effect (:class:`Changes`):
+rows added and rows removed, nothing else.  A ``replace`` is a diff
+like any other operation: the relation's rows missing from the new set
+are removed and the new rows are added.  The delta lands as one
+:meth:`~repro.core.extension.DatabaseExtension.apply_changes`
 derivation step.
 
 Commit validation is the store's half of the paper's axiom programme:
@@ -23,22 +26,22 @@ need only judge the checks its delta can disturb:
   head state, exactly the groups the delta touches — the object-level
   mirror of :meth:`repro.kernel.CheckSet.recheck`'s dirty-lhs-group
   sweep (same granularity as :func:`repro.kernel.dirty_group_keys`).
+* :func:`custom_findings` is the one step for constraint kinds the plan
+  cannot probe (a custom ``holds`` predicate may read a whole
+  relation): each is judged whole on the derived candidate, and only
+  when the delta touches a relation it ranges over.
 * :func:`write_footprint` projects the delta's rows through the same
   probe family, yielding the ``(relation, attrs, projected-row)``
   conflict keys of optimistic concurrency: two commits whose footprints
   are disjoint cannot disturb each other's probes, so disjoint writers
-  commit without re-serialising behind each other's validation.
-
-A wholesale ``replace`` has no bounded footprint; the engine validates
-such commits with a full dirty-context audit and gives them a ``None``
-(conflicts-with-everything) footprint.
+  commit without re-serialising behind each other's validation.  Every
+  delta is a finite row set, so every footprint is bounded.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.core.axioms import AxiomReport
 from repro.core.integrity import (
     CardinalityConstraint,
     FunctionalConstraint,
@@ -46,7 +49,7 @@ from repro.core.integrity import (
     SubsetConstraint,
 )
 from repro.errors import ExtensionError, StoreError
-from repro.relational import Relation, Tuple
+from repro.relational import Tuple
 from repro.store.version_graph import Version
 
 _EMPTY: frozenset = frozenset()
@@ -137,7 +140,8 @@ class Transaction:
         return self
 
     def replace(self, relation: str, rows: Iterable) -> "Transaction":
-        """Buffer a wholesale replacement of one relation's instance set."""
+        """Buffer a wholesale replacement of one relation's instance set
+        (committed as the rows it removes and the rows it adds)."""
         self.ops.append(Op("replace", relation, tuple(
             self._validated(relation, r) for r in rows)))
         return self
@@ -201,19 +205,17 @@ class Transaction:
         Simulates the buffered operations in order over an effective
         view of ``state`` (base rows minus pending removals plus pending
         additions), so re-inserting a removed row cancels, duplicate
-        inserts dedup, and cascades see earlier operations of the same
-        transaction.  Delete cascades find their victims through the
-        engine's head probe index when available (one group lookup),
-        falling back to an object-level scan.
+        inserts dedup, cascades see earlier operations of the same
+        transaction, and a ``replace`` diffs against what the earlier
+        operations left.  Delete cascades find their victims through
+        the engine's head probe index when available (one group
+        lookup), falling back to an object-level scan.
         """
         schema = state.schema
         added: dict[str, dict] = {}
         removed: dict[str, dict] = {}
-        replaced: dict[str, dict] = {}
 
         def present(name: str, t: Tuple) -> bool:
-            if name in replaced:
-                return t in replaced[name]
             if t in removed.get(name, _EMPTY):
                 return False
             return t in added.get(name, _EMPTY) or t in state.R(name).tuples
@@ -223,8 +225,6 @@ class Transaction:
                 return
             if t in removed.get(name, _EMPTY):
                 del removed[name][t]
-            elif name in replaced:
-                replaced[name][t] = None
             else:
                 added.setdefault(name, {})[t] = None
 
@@ -233,16 +233,11 @@ class Transaction:
                 return
             if t in added.get(name, _EMPTY):
                 del added[name][t]
-            elif name in replaced:
-                del replaced[name][t]
             else:
                 removed.setdefault(name, {})[t] = None
 
         def victims(s, e, t: Tuple) -> list[Tuple]:
             # Effective rows of R_s whose projection onto A_e is t.
-            if s.name in replaced:
-                return [v for v in replaced[s.name]
-                        if v.project(e.attributes) == t]
             group = index.group(s.name, e.attributes, t) \
                 if index is not None else None
             if group is None:
@@ -271,49 +266,41 @@ class Transaction:
             elif op.kind == "remove":
                 for t in op.rows:
                     drop(e.name, t)
-            else:  # replace
-                rows: dict = {}
+            else:  # replace: drop what the new set lacks, add the rest
+                keep = frozenset(op.rows)
+                for t in [*state.R(e).tuples, *added.get(e.name, ())]:
+                    if t not in keep:
+                        drop(e.name, t)
                 for t in op.rows:
-                    rows[t] = None
-                replaced[e.name] = rows
-                added.pop(e.name, None)
-                removed.pop(e.name, None)
-        return Changes(added, removed, {
-            name: Relation._trusted(schema[name].attributes, rows)
-            for name, rows in replaced.items()
-        })
+                    add(e.name, t)
+        return Changes(added, removed)
 
 
 class Changes:
     """One transaction's net row effect: the unit of commit.
 
     ``added``/``removed`` map relation names to row tuples (every listed
-    row a genuine difference against the commit-time head);
-    ``replaced`` maps names to whole replacement relations.
+    row a genuine difference against the commit-time head).
     """
 
-    __slots__ = ("added", "removed", "replaced", "_added", "_removed")
+    __slots__ = ("added", "removed", "_added", "_removed")
 
     def __init__(self, added: Mapping[str, Iterable[Tuple]],
-                 removed: Mapping[str, Iterable[Tuple]],
-                 replaced: Mapping[str, Relation]):
+                 removed: Mapping[str, Iterable[Tuple]]):
         self.added = {n: tuple(rows) for n, rows in added.items() if rows}
         self.removed = {n: tuple(rows) for n, rows in removed.items() if rows}
-        self.replaced = dict(replaced)
         self._added = {n: frozenset(rows) for n, rows in self.added.items()}
         self._removed = {n: frozenset(rows) for n, rows in self.removed.items()}
 
     def __bool__(self) -> bool:
-        return bool(self.added or self.removed or self.replaced)
+        return bool(self.added or self.removed)
 
     def touched(self) -> frozenset[str]:
-        return (frozenset(self.added) | frozenset(self.removed)
-                | frozenset(self.replaced))
+        return frozenset(self.added) | frozenset(self.removed)
 
     def __repr__(self) -> str:
         return (f"Changes(+{sum(map(len, self.added.values()))}, "
-                f"-{sum(map(len, self.removed.values()))}, "
-                f"replaced={sorted(self.replaced)})")
+                f"-{sum(map(len, self.removed.values()))})")
 
 
 class ValidationPlan:
@@ -326,15 +313,14 @@ class ValidationPlan:
     :func:`write_footprint`, which is what makes disjoint-footprint
     commits commute with each other's validation.
 
-    ``incremental_ok`` is ``False`` when the constraint set contains a
-    kind the plan cannot factor through bounded probes (a custom
-    ``holds`` predicate may read anything); the engine then validates
-    every commit with a full dirty-context audit instead.
+    ``custom`` lists the constraints of a kind the plan cannot factor
+    through bounded probes (a custom ``holds`` predicate may read a
+    whole relation), each with the relation names it ranges over;
+    :func:`custom_findings` judges them.
     """
 
     __slots__ = ("schema", "constraints", "fds", "containment_pairs",
-                 "participations", "compounds", "probe_family",
-                 "incremental_ok")
+                 "participations", "compounds", "probe_family", "custom")
 
     def __init__(self, state, constraints: Iterable = ()):
         schema = state.schema
@@ -344,7 +330,7 @@ class ValidationPlan:
         pairs: dict[tuple[str, str], frozenset] = {}
         self.participations: list[tuple] = []
         self.compounds: list[tuple] = []
-        self.incremental_ok = True
+        self.custom: list[tuple] = []
         for c in self.constraints:
             if isinstance(c, FunctionalConstraint):
                 fds = [c.fd]
@@ -359,7 +345,8 @@ class ValidationPlan:
                      c.member.attributes))
                 continue
             else:
-                self.incremental_ok = False
+                self.custom.append((c, frozenset(
+                    e.name for e in c.entity_types() | {c.context})))
                 continue
             for fd in fds:
                 self.fds.append((c.name, fd.context.name,
@@ -395,14 +382,12 @@ class ValidationPlan:
                              for name, sets in family.items()}
 
 
-def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset | None:
+def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset:
     """The commit's conflict keys: every changed row projected through
     its relation's probe family — ``(relation, attrs, projected-row)``
     triples at the same lhs-group granularity ``CheckSet.recheck``
-    re-sweeps at.  ``None`` (unbounded) for replace-carrying commits.
+    re-sweeps at.
     """
-    if changes.replaced:
-        return None
     keys = set()
     for rows_of in (changes.added, changes.removed):
         for name, rows in rows_of.items():
@@ -414,20 +399,16 @@ def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset | None:
 
 def validate_changes(plan: ValidationPlan, state, changes: Changes,
                      index=None) -> list[dict]:
-    """Judge a patch delta against the (clean) head state in O(|delta|).
+    """Judge a delta against the (clean) head state in O(|delta|).
 
     ``state`` is the branch head the delta is about to commit onto; the
     head is clean by the store's induction invariant, so only the groups
     the delta touches can flip, and each check below probes exactly
     those.  Returns structured findings (empty = commit is admissible);
-    every finding carries object-level witness rows.
-
-    Replace-carrying deltas are out of scope (the engine routes them to
-    the full audit); this validator raises on them rather than judge a
-    footprint it cannot bound.
+    every finding carries object-level witness rows.  The plan's
+    ``custom`` constraints are not judged here (they need the derived
+    candidate; see :func:`custom_findings`).
     """
-    if changes.replaced:
-        raise StoreError("validate_changes cannot judge a replace delta")
     findings: list[dict] = []
     added, removed = changes.added, changes.removed
 
@@ -563,10 +544,25 @@ def validate_changes(plan: ValidationPlan, state, changes: Changes,
     return findings
 
 
-def findings_from_report(report: AxiomReport) -> list[dict]:
-    """Full-audit findings in the commit-rejection shape."""
-    return [
-        {"check": "audit", "constraint": None, "relation": None,
-         "message": str(f), "witnesses": []}
-        for f in report.findings
-    ]
+def custom_findings(plan: ValidationPlan, changes: Changes,
+                    candidate) -> list[dict]:
+    """Judge the plan's ``custom`` constraints on the derived candidate.
+
+    Only constraints ranging over a relation the delta touches are
+    evaluated: the head satisfied every constraint (clean by
+    induction), so an untouched one still holds.  Each violated
+    constraint yields one finding that names it.
+    """
+    touched = changes.touched()
+    findings: list[dict] = []
+    for c, names in plan.custom:
+        if names.isdisjoint(touched) or c.holds(candidate):
+            continue
+        findings.append({
+            "check": "constraint", "constraint": c.name,
+            "relation": c.context.name,
+            "message": "; ".join(c.violation_report(candidate))
+            or f"constraint {c.name!r} is violated",
+            "witnesses": [],
+        })
+    return findings

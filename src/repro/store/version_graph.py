@@ -26,17 +26,16 @@ class Version:
     """One committed state: a node of the version graph.
 
     ``writes`` is the commit's conflict footprint — the frozenset of
-    ``(relation, attrs, projected-row)`` group keys its delta touched —
-    or ``None`` for a wholesale-replace commit, which conflicts with
-    every concurrent writer.  ``ops`` keeps the committed operations in
-    buffer order (what the write-ahead log records and ``replay``
-    re-applies).
+    ``(relation, attrs, projected-row)`` group keys its delta touched
+    (empty for the root and for floor versions).  ``ops`` keeps the
+    committed operations in buffer order (what the write-ahead log
+    records and ``replay`` re-applies).
     """
 
     __slots__ = ("vid", "parent", "branch", "seq", "state", "writes", "ops")
 
     def __init__(self, vid: str, parent: "Version | None", branch: str,
-                 seq: int, state, writes: frozenset | None, ops: tuple):
+                 seq: int, state, writes: frozenset, ops: tuple):
         self.vid = vid
         self.parent = parent
         self.branch = branch
@@ -152,7 +151,7 @@ class VersionGraph:
         record must carry *before* the in-memory commit happens."""
         return f"v{self._seq + 1}"
 
-    def add_commit(self, parent: Version, state, writes: frozenset | None,
+    def add_commit(self, parent: Version, state, writes: frozenset,
                    ops: tuple, branch: str) -> Version:
         """Append one committed state under ``parent`` and advance the
         branch head.  ``parent`` must be the current head of ``branch``

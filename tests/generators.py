@@ -154,6 +154,49 @@ def random_database_states(rng: random.Random,
     return states
 
 
+def mixed_txn_specs(rng: random.Random, db, n_txns: int,
+                    ops_per_txn: int = 2) -> list[list[tuple]]:
+    """``random_txn_specs`` traffic with bulk ops: about a third of the
+    transactions gain one, another third are replaced by one alone.  A
+    bulk op is a ``remove`` of one or two rows, or a ``replace`` that
+    shrinks a relation, toggles one row in or out, or restates it
+    unchanged.  Rows are drawn from ``db``, so a replace is relative to
+    that state.
+    """
+    from repro.workloads import random_txn_specs
+    from repro.workloads.extensions import random_tuple
+
+    types = sorted(db.schema, key=lambda e: e.name)
+    specs = random_txn_specs(rng, db, n_txns, ops_per_txn)
+    for ops in specs:
+        mix = rng.random()
+        if mix < 1 / 3:
+            continue
+        if mix > 2 / 3:
+            ops.clear()
+        e = rng.choice(types)
+        rows = [t.as_dict() for t in sorted(db.R(e).tuples, key=repr)]
+        fresh = random_tuple(rng, db.schema, e.attributes).as_dict()
+        shape = rng.choice(("remove", "shrink", "toggle", "restate"))
+        if shape == "remove":
+            pool = rows or [fresh]
+            op = ("remove", e.name,
+                  rng.sample(pool, min(len(pool), rng.randint(1, 2))))
+        elif shape == "shrink":
+            op = ("replace", e.name,
+                  rng.sample(rows, max(0, len(rows) - rng.randint(1, 3))))
+        elif shape == "toggle":
+            if rows and rng.random() < 0.5:
+                gone = rng.choice(rows)
+                op = ("replace", e.name, [r for r in rows if r != gone])
+            else:
+                op = ("replace", e.name, rows + [fresh])
+        else:
+            op = ("replace", e.name, rows)
+        ops.insert(rng.randrange(len(ops) + 1), op)
+    return specs
+
+
 def random_update_sequence(rng: random.Random, db, n_ops: int = 8,
                            audit_every: int | None = None,
                            constraints: list | None = None) -> list:

@@ -160,18 +160,23 @@ class TestServeLogReplay:
         db, constraints = _io.load(out_doc)
         assert db.is_consistent()
 
-    def test_serve_modes_agree_on_traffic(self, document, tmp_path, capsys):
+    def test_serve_has_one_validator(self, document, tmp_path, capsys):
+        """No mode to pick: the summary names none, ``--mode`` is gone,
+        and the same seed gives the same outcome."""
         import json
 
-        outcomes = {}
-        for mode in ("delta", "audit"):
+        outcomes = []
+        for _ in range(2):
             assert cli.main(["serve", document, "--txns", "25",
-                             "--threads", "1", "--mode", mode,
-                             "--seed", "5", "--json"]) == 0
+                             "--threads", "1", "--seed", "5",
+                             "--json"]) == 0
             data = json.loads(capsys.readouterr().out)
-            outcomes[mode] = (data["committed"], data["rejected"],
-                              data["noop"])
-        assert outcomes["delta"] == outcomes["audit"]
+            assert "mode" not in data
+            outcomes.append((data["committed"], data["rejected"],
+                             data["noop"]))
+        assert outcomes[0] == outcomes[1]
+        with pytest.raises(SystemExit):
+            cli.main(["serve", document, "--mode", "audit"])
 
 
 class TestCheckpointGc:

@@ -7,6 +7,7 @@ seed (assertions carry it, and the CI chaos lane prints it)."""
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 
@@ -231,6 +232,22 @@ def server():
 
 
 class TestChaosProxy:
+    def test_stop_with_a_live_connection_is_prompt_and_leak_free(
+            self, server):
+        """stop() must wake the threads blocked in accept()/recv()
+        (closing a socket alone does not) instead of waiting out their
+        joins."""
+        proxy = ChaosProxy(server.address, FaultPlan(seed=0))
+        proxy.start()
+        with StoreClient(*proxy.address) as client:
+            assert client.ping()
+            start = time.monotonic()
+            proxy.stop()
+            elapsed = time.monotonic() - start
+        assert elapsed < 0.5, elapsed
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("chaos-proxy-")]
+
     def test_clean_plan_is_a_transparent_relay(self, server):
         with ChaosProxy(server.address, FaultPlan(seed=0)) as proxy:
             with StoreClient(*proxy.address) as client:

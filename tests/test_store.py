@@ -2,13 +2,15 @@
 
 The load-bearing suites are differential:
 
-* delta-mode commit validation must agree, accept/reject and state for
-  state, with audit-mode validation (full dirty-context ``check_all``)
-  over seeded random transaction streams, and
+* the engine's commit gate must agree, accept/reject and state for
+  state, with a test-side oracle — derive the candidate with
+  ``apply_changes``, judge it with a full ``check_all`` — over seeded
+  random transaction streams that mix inserts, deletes, removes and
+  replaces, with and without custom constraints, and
 
 * WAL replay must rebuild a version graph whose every state equals the
   original (~200 seeded version comparisons, trusted and verified
-  replay).
+  replay, plus a tailing replica).
 """
 
 import random
@@ -16,7 +18,7 @@ import random
 import pytest
 
 from repro import io
-from repro.core import DatabaseExtension, check_all
+from repro.core import DatabaseExtension, DomainConstraint, check_all
 from repro.core.employee import employee_constraints, employee_extension
 from repro.errors import (
     CommitRejected,
@@ -24,6 +26,7 @@ from repro.errors import (
     StoreError,
     TransactionConflict,
 )
+from repro.server import ReplicaEngine
 from repro.store import (
     SessionService,
     StoreEngine,
@@ -33,11 +36,36 @@ from repro.store import (
     WriteAheadLog,
     write_footprint,
 )
-from repro.workloads import (
-    manager_stream,
-    random_txn_specs,
-    serving_state,
-)
+from repro.workloads import manager_stream, serving_state
+from tests.generators import mixed_txn_specs, random_database_states
+
+
+def _buffer(txn, ops):
+    """Buffer ``(kind, relation, payload[, propagate])`` op specs."""
+    for kind, relation, payload, *propagate in ops:
+        getattr(txn, kind)(relation, payload, *propagate)
+    return txn
+
+
+def _object_level(state, ops):
+    """The state ``ops`` lead to through the public DatabaseExtension
+    update methods, one op at a time."""
+    for kind, relation, payload, *propagate in ops:
+        if kind == "insert":
+            state = state.insert(relation, payload, *propagate)
+        elif kind == "delete":
+            state = state.delete(relation, payload, *propagate)
+        elif kind == "remove":
+            state = state.remove_tuples(relation, payload)
+        else:
+            state = state.replace(relation, payload)
+    return state
+
+
+def _manager_cap(schema, cap):
+    return DomainConstraint("manager-cap", schema["manager"],
+                            lambda r: len(r) <= cap,
+                            lambda r: [f"{len(r)} managers, cap {cap}"])
 
 
 @pytest.fixture
@@ -116,30 +144,17 @@ class TestTransactionBuffering:
 
     def test_net_changes_match_object_level_updates(self):
         """A transaction's net effect equals chaining the public
-        DatabaseExtension update methods op for op."""
-        rng = random.Random(11)
-        from tests.generators import random_database_states
-
+        DatabaseExtension update methods op for op — a replace
+        included, which the transaction expands into removed and added
+        rows."""
         for seed in range(12):
             rng = random.Random(seed)
             (schema, db), *_ = random_database_states(rng)
-            specs = random_txn_specs(rng, db, 6)
-            for ops in specs:
-                txn = Transaction(schema, None, "main")
-                oracle = db
-                for spec in ops:
-                    kind, rel, payload = spec[0], spec[1], spec[2]
-                    propagate = spec[3] if len(spec) > 3 else True
-                    if kind == "insert":
-                        txn.insert(rel, payload, propagate)
-                        oracle = oracle.insert(rel, payload, propagate)
-                    else:
-                        txn.delete(rel, payload, propagate)
-                        oracle = oracle.delete(rel, payload, propagate)
+            for ops in mixed_txn_specs(rng, db, 6):
+                txn = _buffer(Transaction(schema, None, "main"), ops)
                 changes = txn.net_changes(db)
-                derived = db.apply_changes(changes.added, changes.removed,
-                                           changes.replaced)
-                assert derived == oracle
+                derived = db.apply_changes(changes.added, changes.removed)
+                assert derived == _object_level(db, ops), (seed, ops)
 
 
 class TestCommitGate:
@@ -219,53 +234,89 @@ class TestCommitGate:
         with pytest.raises(StoreError):
             StoreEngine(broken, constraints)
 
-    def test_replace_routes_through_full_audit(self):
+    def test_replace_footprint_is_bounded(self):
+        """A replace commits as the rows it removes: its footprint is
+        those rows' groups, nothing more."""
         engine = _mk_engine()
         state = engine.state()
-        keep = sorted(state.R("manager").tuples, key=repr)[:3]
+        managers = sorted(state.R("manager").tuples, key=repr)
+        keep, gone = managers[:3], managers[3:]
         version = engine.commit(
             engine.begin().replace("manager", [t.as_dict() for t in keep]))
-        assert version.writes is None
+        family = engine.plan.probe_family["manager"]
+        assert version.writes == frozenset(
+            ("manager", attrs, t.project(attrs))
+            for t in gone for attrs in family)
         assert len(engine.state().R("manager")) == 3
         assert engine.audit().ok()
 
+    def test_noop_replace_commits_nothing(self):
+        engine = _mk_engine()
+        head = engine.head_version()
+        rows = [t.as_dict() for t in engine.state().R("office").tuples]
+        assert engine.commit(engine.begin().replace("office", rows)) is head
 
-class TestDeltaVsAuditEquivalence:
-    """Delta-mode validation is judged against the full dirty-context
-    audit: same accepts, same rejects, same states, seed for seed."""
 
+class TestCommitGateVsAuditOracle:
+    """The commit gate is judged against a test-side oracle: derive the
+    candidate with ``apply_changes``, audit it with ``check_all``, and
+    demand the same accept/reject decision and the same state, seed for
+    seed.  Traffic mixes inserts, deletes, removes and replaces (shrink,
+    toggle, restate); every fourth commit promotes a fresh manager
+    instead.  The ``custom`` stores carry two domain constraints: one
+    that always holds, and one that bans every other fresh manager."""
+
+    @pytest.mark.parametrize("custom", [False, True],
+                             ids=["probed", "custom"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_random_traffic_agreement(self, seed):
+    def test_random_traffic_agreement(self, seed, custom):
         rng = random.Random(seed)
         n = 40
-        delta = _mk_engine(n, validation="delta")
-        audit = _mk_engine(n, validation="audit")
-        assert delta.validation == "delta"
-        specs = random_txn_specs(rng, delta.state(), 12)
-        outcomes = []
-        for ops in specs:
-            results = []
-            for engine in (delta, audit):
-                session = SessionService(engine).session()
-                try:
-                    session.run(ops)
-                    results.append("ok")
-                except CommitRejected:
-                    results.append("rejected")
-            assert results[0] == results[1], (seed, ops)
-            outcomes.append(results[0])
-            assert delta.state() == audit.state()
-        assert delta.head_version().vid == audit.head_version().vid
-        # every committed head must also pass an independent full audit
-        report = check_all(delta.schema, delta.state(),
-                           constraints=delta.constraints)
-        assert report.ok()
+        schema, db, constraints = serving_state(n)
+        fresh = manager_stream(n, 6)
+        if custom:
+            banned = {row["pname"] for row in fresh[1::2]}
+            constraints += [
+                DomainConstraint("persons-nonempty", schema["person"],
+                                 lambda r: len(r) > 0),
+                DomainConstraint(
+                    "no-new-managers", schema["manager"],
+                    lambda r: all(t["pname"] not in banned for t in r)),
+            ]
+        engine = StoreEngine(db, constraints)
+        decisions, named = [], set()
+        for step in range(24):
+            head = engine.state()
+            ops = mixed_txn_specs(rng, head, 1, ops_per_txn=3)[0]
+            if step % 4 == 3:
+                ops = [("insert", "manager", fresh[step // 4])]
+            changes = _buffer(Transaction(schema, None), ops) \
+                .net_changes(head)
+            candidate = head.apply_changes(changes.added, changes.removed)
+            assert candidate == _object_level(head, ops), (seed, ops)
+            expected = check_all(schema, candidate,
+                                 constraints=engine.constraints,
+                                 contributors=candidate.contributors).ok()
+            try:
+                engine.commit(_buffer(engine.begin(), ops))
+                accepted = True
+            except CommitRejected as exc:
+                accepted = False
+                named.update(f["constraint"] for f in exc.findings
+                             if f["check"] == "constraint")
+            assert accepted == expected, (seed, ops)
+            assert engine.state() == (candidate if expected else head)
+            decisions.append(accepted)
+        assert True in decisions and False in decisions
+        assert ("no-new-managers" in named) == custom
+        assert "persons-nonempty" not in named
+        assert engine.audit().ok()
 
     def test_committed_versions_always_audit_clean(self):
         rng = random.Random(99)
         engine = _mk_engine(40)
         session = SessionService(engine).session()
-        for ops in random_txn_specs(rng, engine.state(), 20):
+        for ops in mixed_txn_specs(rng, engine.state(), 20):
             try:
                 session.run(ops)
             except CommitRejected:
@@ -428,15 +479,37 @@ class TestValidationPlan:
         assert schema["worksfor"].attributes in fam["manager"]
         assert schema["person"].attributes in fam["worksfor"]
         assert manager.attributes in fam["manager"]
-        assert plan.incremental_ok
+        assert plan.custom == []
 
-    def test_unknown_constraint_kind_degrades_to_audit(self):
-        from repro.core import DomainConstraint
-
+    def test_violated_custom_constraint_rejected_by_name(self):
         schema, db, constraints = serving_state(30)
-        custom = DomainConstraint("custom", schema["person"], lambda r: True)
-        engine = StoreEngine(db, constraints + [custom])
-        assert engine.validation == "audit"
+        cap = _manager_cap(schema, len(db.R("manager")))
+        engine = StoreEngine(db, constraints + [cap])
+        assert [c for c, _names in engine.plan.custom] == [cap]
+        txn = engine.begin().insert("manager", manager_stream(30, 1)[0])
+        with pytest.raises(CommitRejected) as exc:
+            engine.commit(txn)
+        (finding,) = exc.value.findings
+        assert finding["check"] == "constraint"
+        assert finding["constraint"] == "manager-cap"
+        assert "cap" in finding["message"]
+        assert engine.head_version().vid == "v0"
+
+    def test_custom_constraint_judged_only_when_touched(self):
+        schema, db, constraints = serving_state(30)
+        calls = []
+        watch = DomainConstraint("office-watch", schema["office"],
+                                 lambda r: calls.append(len(r)) or True)
+        engine = StoreEngine(db, constraints + [watch])
+        calls.clear()  # the root audit judged it
+        engine.commit(
+            engine.begin().insert("manager", manager_stream(30, 1)[0]))
+        assert calls == []
+        office = sorted(engine.state().R("office").tuples, key=repr)[0]
+        twin = dict(office.as_dict(), floor=(office["floor"] + 1) % 11)
+        with pytest.raises(CommitRejected):
+            engine.commit(engine.begin().insert("office", twin))
+        assert calls == [31]
 
     def test_matches_checkset_granularity(self):
         """The plan's FD probe sets agree with the lhs grouping the
@@ -517,41 +590,67 @@ class TestWalReplay:
     @pytest.mark.parametrize("seed", range(25))
     def test_replay_rebuilds_identical_graph(self, seed, tmp_path):
         """The acceptance differential: every replayed version equals
-        the original, for trusted and for verified replay, across
-        seeded random traffic (25 seeds x ~8+ versions each ~ 200+
-        state comparisons)."""
+        the original — same id, parent, state and bounded footprint —
+        through trusted replay, verified replay and a replica tailing
+        the log as it grows, across seeded random traffic with removes
+        and replaces (25 seeds x ~8+ versions each ~ 200+ state
+        comparisons per path)."""
         rng = random.Random(seed)
-        from tests.generators import random_database_states
-
         (schema, db), *_ = random_database_states(rng, rows_per_leaf=2)
         path = tmp_path / "store.wal"
         engine = StoreEngine(db, (), wal=path)
+        replica = ReplicaEngine(path, from_checkpoint=False)
         service = SessionService(engine)
         session = service.session()
-        for ops in random_txn_specs(rng, db, 14):
+        for ops in mixed_txn_specs(rng, db, 20):
             try:
                 session.run(ops)
             except CommitRejected:
                 pass
+            replica.sync()
         if len(engine.graph) > 3 and rng.random() < 0.5:
             engine.branch("side", at="v1")
             side = service.session("side")
             try:
-                side.run(random_txn_specs(rng, db, 1)[0])
+                side.run(mixed_txn_specs(rng, db, 1)[0])
             except CommitRejected:
                 pass
         engine.close()
+        replica.sync()
         assert len(engine.graph) >= 2, "seed produced no committed traffic"
-        for verify in (False, True):
-            replayed = StoreEngine.replay(path, verify=verify)
-            originals = list(engine.graph.log())
-            copies = list(replayed.graph.log())
+        originals = list(engine.graph.log())
+        assert all(isinstance(v.writes, frozenset) for v in originals)
+        for rebuilt in (StoreEngine.replay(path),
+                        StoreEngine.replay(path, verify=True),
+                        replica.engine):
+            copies = list(rebuilt.graph.log())
             assert [v.vid for v in originals] == [v.vid for v in copies]
             for orig, copy in zip(originals, copies):
                 assert orig.state == copy.state, (seed, orig.vid)
+                assert orig.writes == copy.writes, (seed, orig.vid)
                 assert orig.parent is None or \
                     orig.parent.vid == copy.parent.vid
-            assert engine.graph.branches() == replayed.graph.branches()
+            assert engine.graph.branches() == rebuilt.graph.branches()
+
+    def test_logged_noop_replace_still_replays(self, tmp_path):
+        """Logs may hold a replace that changed nothing (ops are logged
+        as sent); replay installs it as a version so ids line up."""
+        path = tmp_path / "store.wal"
+        engine = _mk_engine(30, wal=path)
+        engine.commit(
+            engine.begin().insert("manager", manager_stream(30, 1)[0]))
+        rows = [t.as_dict() for t in engine.state().R("office").tuples]
+        engine.wal.append({
+            "type": "commit", "version": "v2", "parent": "v1",
+            "branch": "main",
+            "ops": [{"op": "replace", "relation": "office", "rows": rows}]})
+        engine.close()
+        for verify in (False, True):
+            replayed = StoreEngine.replay(path, verify=verify)
+            assert [v.vid for v in replayed.graph.log()] == \
+                ["v0", "v1", "v2"]
+            assert replayed.state() == engine.state()
+            assert replayed.head_version().writes == frozenset()
 
     def test_replay_into_fresh_wal_is_equivalent(self, tmp_path):
         first = tmp_path / "a.wal"

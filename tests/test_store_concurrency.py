@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core import DatabaseExtension, check_all
 from repro.errors import CommitRejected
 from repro.store import SessionService, StoreEngine, Transaction
 from repro.workloads import (
@@ -71,6 +72,42 @@ def _drive(engine, per_writer_specs, max_retries=64):
     return len(engine.graph) - before, counts["rejected"]
 
 
+def _global_lock_drive(schema, state, constraints, per_writer_specs):
+    """The global-lock baseline, built from public pieces: one lock
+    around every commit, which derives the successor with
+    ``apply_changes(validate=True)``, rebuilds it through the public
+    constructor and audits it cold with ``check_all``.  Returns the
+    number of commits installed."""
+    lock = threading.Lock()
+    store = {"head": state, "commits": 0}
+
+    def worker(specs):
+        for ops in specs:
+            with lock:
+                head = store["head"]
+                txn = Transaction(schema, None)
+                for kind, relation, row, *propagate in ops:
+                    getattr(txn, kind)(relation, row, *propagate)
+                changes = txn.net_changes(head)
+                derived = head.apply_changes(
+                    changes.added, changes.removed, validate=True)
+                candidate = DatabaseExtension(
+                    schema, {e.name: derived.R(e) for e in schema},
+                    head.contributors)
+                if check_all(schema, candidate, constraints=constraints,
+                             contributors=candidate.contributors).ok():
+                    store["head"] = candidate
+                    store["commits"] += 1
+
+    threads = [threading.Thread(target=worker, args=(specs,))
+               for specs in per_writer_specs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return store["commits"]
+
+
 def _assert_serializable(engine, branch="main"):
     """Replaying the committed ops serially reproduces every state."""
     versions = list(engine.graph.log(branch))
@@ -79,8 +116,7 @@ def _assert_serializable(engine, branch="main"):
         txn = Transaction(engine.schema, None, branch)
         txn.ops = list(version.ops)
         changes = txn.net_changes(state)
-        state = state.apply_changes(changes.added, changes.removed,
-                                    changes.replaced)
+        state = state.apply_changes(changes.added, changes.removed)
         assert state == version.state, version.vid
     return state
 
@@ -152,7 +188,8 @@ class TestStress:
         n, writers = 1000, 4
         rows = manager_stream(n, 64)
 
-        delta_engine = _engine(n, validation="delta")
+        schema, db, constraints = serving_state(n)
+        delta_engine = StoreEngine(db, constraints)
         specs = disjoint_commit_specs(rows, writers)
         start = time.perf_counter()
         committed, _ = _drive(delta_engine, specs)
@@ -160,11 +197,11 @@ class TestStress:
         assert committed == len(rows)
         assert delta_engine.audit().ok()
 
-        serial_engine = _engine(n, validation="serial")
         serial_rows = rows[:6]  # each commit costs a full rebuild+audit
         start = time.perf_counter()
-        committed, _ = _drive(
-            serial_engine, disjoint_commit_specs(serial_rows, writers))
+        committed = _global_lock_drive(
+            schema, db, constraints,
+            disjoint_commit_specs(serial_rows, writers))
         serial_rate = committed / (time.perf_counter() - start)
         assert committed == len(serial_rows)
 
