@@ -31,12 +31,24 @@ layer of the :mod:`repro.server` protocol.  A frame is a big-endian
 encoding one object; the prefix makes the stream self-delimiting, so a
 frame whose payload fails to parse costs one error response, not the
 connection.
+
+A payload is the compact, key-sorted JSON encoding of its message
+(``json.dumps(message, sort_keys=True, separators=(",", ":"))``).  A
+sender that serves the same large value many times may encode it once
+with :func:`raw_json` and put the resulting :class:`RawJSON` bytes in a
+message as a *top-level* value: :func:`encode_frame` writes those bytes
+verbatim at the key's sorted position, so the frame stays byte-identical
+to the plain encoding of the decoded message.  The contract is the
+caller's: a ``RawJSON`` must hold exactly the bytes :func:`raw_json`
+gives for its value.  Only top-level values are spliced; a nested
+``RawJSON`` is not JSON-codable.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -64,18 +76,47 @@ FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class RawJSON(bytes):
+    """One JSON value, already encoded as UTF-8 bytes by :func:`raw_json`;
+    :func:`encode_frame` splices a top-level one into the payload."""
+
+    __slots__ = ()
+
+
+def raw_json(value: Any) -> RawJSON:
+    """``value`` encoded exactly as :func:`encode_frame` would encode it
+    inside a message."""
+    return RawJSON(_ENCODER.encode(value).encode("utf-8"))
+
+
 def encode_frame(message: dict[str, Any],
                  max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """One protocol message as a length-prefixed JSON frame."""
+    """One protocol message as a length-prefixed JSON frame.
+
+    Members are encoded one by one in sorted key order, which is how
+    ``json.dumps(..., sort_keys=True)`` lays them out; a :class:`RawJSON`
+    value is written as it is."""
     if not isinstance(message, dict):
         raise ProtocolError(
             f"a frame payload must be a JSON object, got "
             f"{type(message).__name__}")
+    members = []
     try:
-        payload = json.dumps(message, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
+        for key in sorted(message):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            value = message[key]
+            if not isinstance(value, RawJSON):
+                value = raw_json(value)
+            members.append(b"%s:%s" % (
+                encode_basestring_ascii(key).encode("ascii"), value))
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"message is not JSON-codable: {exc}") from exc
+    payload = b"{%s}" % b",".join(members)
     if len(payload) > max_bytes:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "

@@ -32,6 +32,21 @@ A server constructed over a :class:`~repro.server.replica.ReplicaEngine`
 is read-only: write ops answer ``read-only``, reads are served from the
 replica's graph, and a background task keeps :meth:`ReplicaEngine.sync`
 ticking so staleness stays bounded while the primary writes.
+
+Reads are encoded once.  A version's state never changes, and neither
+does any :class:`~repro.relational.relation.Relation` in it: a commit
+builds a new state that shares every relation it did not touch with its
+parent, by identity.  So the ``rows`` JSON of one relation object is the
+same bytes every time it is served, at the head, at an older version or
+on another branch.  The server keeps those bytes in a small LRU keyed by
+the relation's ``id``; each entry holds the relation itself, so the id
+cannot be reused while the entry lives, and a cached answer can never be
+stale — no invalidation on commit, sync or gc is needed (an entry does
+keep its relation alive until it is evicted).  The bytes go
+into the response as :class:`~repro.io.RawJSON`, and the frame is
+byte-identical to encoding the rows afresh.  The cache's byte budget is
+:data:`READ_CACHE_BYTES`; a relation whose rows exceed it is encoded on
+every read.
 """
 
 from __future__ import annotations
@@ -39,17 +54,68 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from collections import OrderedDict
 from typing import Any
 
 from repro.errors import EpochFenced, ProtocolError, StoreError
-from repro.io import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
+from repro.io import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    RawJSON,
+    encode_frame,
+    raw_json,
+)
 from repro.kernel.batch import sweep_counts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.relational.relation import Relation
 from repro.server import protocol
 from repro.server.replica import ReplicaEngine
 from repro.store.engine import StoreEngine
 from repro.store.session import Session, SessionService
+
+
+#: Byte budget of a server's encoded-rows cache.  ``serving_state(1000)``
+#: encodes its five relations in 19-47 KB each, so the budget holds the
+#: head of such a store several versions deep.
+READ_CACHE_BYTES = 1 << 20
+
+
+class _RowsCache:
+    """LRU of encoded ``rows`` JSON, one entry per relation object,
+    bounded by total bytes (see the module docstring for why it is
+    exact).  Only the event-loop thread touches it."""
+
+    __slots__ = ("budget", "nbytes", "_entries", "_hits", "_misses")
+
+    def __init__(self, budget: int, metrics: MetricsRegistry):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[int, tuple[Relation, RawJSON]] = \
+            OrderedDict()
+        self._hits = metrics.counter("server.read_cache.hits")
+        self._misses = metrics.counter("server.read_cache.misses")
+
+    def __contains__(self, relation: Relation) -> bool:
+        return id(relation) in self._entries
+
+    def rows(self, relation: Relation) -> RawJSON:
+        """The relation's rows, in iteration order, as frame-ready JSON."""
+        key = id(relation)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self._hits.inc()
+            return entry[1]
+        self._misses.inc()
+        encoded = raw_json([t.as_dict() for t in relation])
+        if len(encoded) <= self.budget:
+            self._entries[key] = (relation, encoded)
+            self.nbytes += len(encoded)
+            while self.nbytes > self.budget:
+                _, (_, old) = self._entries.popitem(last=False)
+                self.nbytes -= len(old)
+        return encoded
 
 
 class _Connection:
@@ -157,6 +223,7 @@ class StoreServer:
         self._c_frames_served = m.counter("server.frames_served")
         self._c_bad_frames = m.counter("server.bad_frames")
         self._c_idle_closed = m.counter("server.idle_closed")
+        self._rows_cache = _RowsCache(READ_CACHE_BYTES, m)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -536,13 +603,15 @@ class StoreServer:
         if not isinstance(relation, str):
             raise ProtocolError("'relation' must be a string")
         branch = message.get("branch", conn.branch)
+        if not isinstance(branch, str):
+            raise ProtocolError("'branch' must be a string")
         at = message.get("at")
         if at is not None and not isinstance(at, str):
             raise ProtocolError("'at' must be a version id string")
         store = self._store
         version = store.graph.get(at) if at is not None \
             else store.head_version(branch)
-        rows = [t.as_dict() for t in version.state.R(relation)]
+        rows = self._rows_cache.rows(version.state.R(relation))
         return protocol.ok_response(rid, relation=relation, rows=rows,
                                     version=version.vid)
 
@@ -552,7 +621,11 @@ class StoreServer:
         if not isinstance(name, str):
             raise ProtocolError("'name' must be a branch name string")
         at = message.get("at")
+        if at is not None and not isinstance(at, str):
+            raise ProtocolError("'at' must be a version id string")
         from_branch = message.get("from_branch", conn.branch)
+        if not isinstance(from_branch, str):
+            raise ProtocolError("'from_branch' must be a branch name string")
         version = await self._loop.run_in_executor(
             None, self.engine.branch, name, at, from_branch)
         return protocol.ok_response(rid, branch=name, at=version.vid)

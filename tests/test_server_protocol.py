@@ -288,6 +288,25 @@ class TestServerOps:
         assert client.read("dept", branch="proto-dev") == \
             client.read("dept", at=head)
 
+    @pytest.mark.parametrize("message", [
+        {"op": "read", "relation": "dept", "branch": ["x"]},
+        {"op": "read", "relation": "dept", "branch": 3},
+        {"op": "branch", "name": "proto-bad", "from_branch": ["x"]},
+        {"op": "branch", "name": "proto-bad", "at": ["v0"]},
+    ], ids=["read-branch-list", "read-branch-int",
+            "branch-from-list", "branch-at-list"])
+    def test_non_string_names_answer_protocol_error(self, server,
+                                                    message):
+        """Malformed branch/version names are the client's protocol
+        error, not an internal TypeError surfacing as a store error."""
+        with StoreClient(*server.address) as c:
+            c.send_message({"id": 1, **message})
+            response = c.recv_message()
+            assert response["ok"] is False
+            assert response["error"]["code"] == "protocol-error"
+            assert "TypeError" not in response["error"]["message"]
+            assert "proto-bad" not in c.status()["branches"]
+
     def test_status_gauges(self, client):
         status = client.status()
         assert status["role"] == "primary"
