@@ -1,11 +1,12 @@
 """A blocking socket client for the store's wire protocol.
 
 :class:`StoreClient` mirrors the embedded :class:`~repro.store.Session`
-API over a TCP connection: ``begin``/``stage``/``commit`` with the same
-exceptions — a rejected commit raises :class:`CommitRejected` with the
-witness findings the server's axiom gate produced, a lost optimistic
-race raises :class:`TransactionConflict` with the overlapping keys (in
-their JSON-flattened wire form).  The client is deliberately simple and
+API over a TCP connection, with the same exceptions: :meth:`run` sends
+one write transaction as one ``commit`` frame, a rejected commit raises
+:class:`CommitRejected` with the witness findings the server's axiom
+gate produced, a lost optimistic race raises
+:class:`TransactionConflict` with the overlapping keys (in their
+JSON-flattened wire form).  The client is deliberately simple and
 synchronous: tests, benchmarks, and the CLI drive it; concurrency comes
 from threads each holding their own client (see
 :class:`~repro.server.pool.ClientPool`).
@@ -19,38 +20,7 @@ from typing import Any, Iterable
 
 from repro.errors import ProtocolError
 from repro.io import FrameDecoder, encode_frame
-from repro.server.protocol import raise_for_error
-
-
-class RemoteTxn:
-    """A transaction handle living on the server; :meth:`stage` buffers
-    WAL-form op records there, :meth:`commit` consumes the handle."""
-
-    __slots__ = ("client", "handle", "base")
-
-    def __init__(self, client: "StoreClient", handle: str, base: str):
-        self.client = client
-        self.handle = handle
-        self.base = base
-
-    def stage(self, ops: Iterable[dict]) -> int:
-        return self.client.stage(self.handle, ops)
-
-    def insert(self, relation: str, row: dict,
-               propagate: bool = True) -> int:
-        return self.stage([{"op": "insert", "relation": relation,
-                            "row": row, "propagate": propagate}])
-
-    def delete(self, relation: str, row: dict,
-               propagate: bool = True) -> int:
-        return self.stage([{"op": "delete", "relation": relation,
-                            "row": row, "propagate": propagate}])
-
-    def commit(self) -> dict:
-        return self.client.commit(self.handle)
-
-    def __repr__(self) -> str:
-        return f"RemoteTxn({self.handle}, base={self.base})"
+from repro.server.protocol import PROTOCOL_VERSION, raise_for_error
 
 
 class StoreClient:
@@ -166,6 +136,10 @@ class StoreClient:
     # ------------------------------------------------------------------
     def hello(self, branch: str = "main") -> dict:
         info = self.request("hello", branch=branch)
+        if info.get("protocol") != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"server speaks protocol {info.get('protocol')!r}; this "
+                f"client speaks protocol {PROTOCOL_VERSION}")
         self.branch = branch
         return info
 
@@ -187,22 +161,6 @@ class StoreClient:
         response = self.request("metrics", **fields)
         return {k: v for k, v in response.items()
                 if k not in ("id", "ok")}
-
-    def begin(self) -> RemoteTxn:
-        response = self.request("begin")
-        return RemoteTxn(self, response["txn"], response["base"])
-
-    def stage(self, txn: RemoteTxn | str, ops: Iterable[dict]) -> int:
-        handle = txn.handle if isinstance(txn, RemoteTxn) else txn
-        response = self.request("stage", txn=handle, ops=list(ops))
-        return response["staged"]
-
-    def commit(self, txn: RemoteTxn | str) -> dict:
-        handle = txn.handle if isinstance(txn, RemoteTxn) else txn
-        response = self.request("commit", txn=handle)
-        return {"version": response["version"],
-                "parent": response["parent"],
-                "branch": response["branch"]}
 
     def read(self, relation: str, at: str | None = None,
              branch: str | None = None) -> list[dict]:
@@ -235,8 +193,10 @@ class StoreClient:
         return {"branch": response["branch"], "at": response["at"]}
 
     def run(self, ops: Iterable[dict]) -> dict:
-        """Convenience: begin, stage ``ops``, commit — one remote
-        transaction."""
-        txn = self.begin()
-        txn.stage(ops)
-        return txn.commit()
+        """Commit ``ops`` (WAL-form op records) as one transaction at
+        the head of the connection's branch: one ``commit`` round
+        trip."""
+        response = self.request("commit", ops=list(ops))
+        return {"version": response["version"],
+                "parent": response["parent"],
+                "branch": response["branch"]}

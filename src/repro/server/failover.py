@@ -351,8 +351,8 @@ class FailoverClient:
     # -- writes --------------------------------------------------------
     def run(self, ops: Iterable[dict],
             deadline: float | None = None) -> dict:
-        """One transaction (begin, stage ``ops``, commit) against the
-        current primary, surviving reconnects and promotions until it
+        """One transaction (one ``commit`` frame carrying ``ops``)
+        against the current primary, surviving reconnects and promotions until it
         lands or the deadline lapses."""
         ops = list(ops)
         deadline = self.deadline if deadline is None else deadline

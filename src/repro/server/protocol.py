@@ -15,22 +15,19 @@ message is one JSON object.  Requests carry a client-chosen ``id``
     ``relations``.
 ``ping``
     Liveness probe.  Response: ``{"pong": true}``.
-``begin``
-    Open a transaction pinned at the session branch's head.  Response:
-    ``txn`` (a server-assigned handle) and ``base`` (the head's vid).
-``stage``
-    Buffer operations into an open transaction: ``txn`` plus ``ops``,
-    a list of WAL-form op records (``{"op": "insert", "relation": ...,
-    "row": {...}, "propagate": ...}`` and friends).  Rows are validated
-    on arrival; a malformed row fails the *stage*, with the transaction
-    left as it was before the call.  Response: ``staged`` (total ops
-    buffered).
 ``commit``
-    Validate and install an open transaction (``txn``); the handle is
-    consumed either way.  Response: ``version``, ``parent``, ``branch``.
-    Rejections answer with code ``commit-rejected`` carrying the witness
-    ``findings``; optimistic-concurrency losses (after the server-side
-    retry loop) answer ``conflict`` with the overlapping ``keys``.
+    One write transaction: ``ops``, a list of WAL-form op records
+    (``{"op": "insert", "relation": ..., "row": {...}, "propagate":
+    ...}`` and friends).  The server begins at the head of the
+    connection's branch, buffers the records and validates and installs
+    the result.  Rows are validated on arrival; a malformed record fails
+    the whole commit and nothing is installed.  An empty ``ops`` list is
+    a no-op commit that answers the head.  Response: ``version``,
+    ``parent``, ``branch``.  Rejections answer with code
+    ``commit-rejected`` carrying the witness ``findings``;
+    optimistic-concurrency losses (after the server-side retry loop)
+    answer ``conflict`` with the overlapping ``keys``.  Replica
+    connections refuse with ``read-only``.
 ``read``
     One relation's instance set at a pinned version: ``relation``,
     optional ``at`` (vid) / ``branch``.  Response: ``rows`` (list of
@@ -105,7 +102,7 @@ from repro.errors import (
     TransactionConflict,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The failure-detector suspicion ladder, least to most suspicious;
 #: the ``cluster`` gossip in ``status`` responses uses exactly these
@@ -114,9 +111,8 @@ SUSPICION_STATES = ("alive", "suspect", "dead")
 
 #: Every operation a client may request, and which of them mutate.
 OPS = frozenset(
-    {"hello", "ping", "begin", "stage", "commit", "read", "branch",
-     "status", "metrics"})
-WRITE_OPS = frozenset({"begin", "stage", "commit", "branch"})
+    {"hello", "ping", "commit", "read", "branch", "status", "metrics"})
+WRITE_OPS = frozenset({"commit", "branch"})
 
 #: The keys every ``status`` response must carry, whatever the role.
 STATUS_CORE_KEYS = ("role", "epoch", "ready", "counters")

@@ -3,10 +3,12 @@
 One :class:`StoreServer` owns one listening socket and one engine.  A
 connection is a sequence of length-prefixed JSON frames (see
 :mod:`repro.io` for the bytes and :mod:`repro.server.protocol` for the
-messages); each connection gets its own :class:`~repro.store.Session`
-and its own transaction-handle namespace, so the wire API mirrors the
-embedded one — begin, stage, commit, read — with the same exceptions
-coming back as typed error payloads.
+messages); each connection gets its own :class:`~repro.store.Session`,
+and the same exceptions an embedded caller sees come back as typed
+error payloads.  A write transaction is one ``commit`` frame carrying
+its ops: the server begins at the branch head, buffers the records and
+commits through :meth:`Session.commit`'s retry loop in one executor
+call, so the server holds no transaction state between frames.
 
 Robustness posture:
 
@@ -119,19 +121,13 @@ class _RowsCache:
 
 
 class _Connection:
-    """Per-connection state: one session, one txn-handle namespace."""
+    """Per-connection state: the bound branch and its session."""
 
-    __slots__ = ("branch", "session", "txns", "_next_txn")
+    __slots__ = ("branch", "session")
 
     def __init__(self) -> None:
         self.branch = "main"
         self.session: Session | None = None
-        self.txns: dict[str, Any] = {}
-        self._next_txn = 0
-
-    def new_handle(self) -> str:
-        self._next_txn += 1
-        return f"t{self._next_txn}"
 
 
 class StoreServer:
@@ -431,6 +427,10 @@ class StoreServer:
             return {"id": message.get("id") if not isinstance(
                         message.get("id"), (dict, list)) else None,
                     "ok": False, "error": protocol.error_payload(exc)}
+        if self.read_only and op in protocol.WRITE_OPS:
+            return protocol.error_response(
+                rid, "read-only", f"{op!r} is not served by a read-only "
+                "replica; connect to the primary")
         # Dispatch tracing is explicit timestamps, not a span context
         # manager: the handler awaits, and a span held across an await
         # would adopt concurrent dispatches as children.
@@ -460,11 +460,6 @@ class StoreServer:
         if self.read_only:
             return self.engine.engine  # raises StoreError until ready
         return self.engine
-
-    def _require_writable(self, op: str) -> None:
-        if self.read_only:
-            raise StoreError(f"'{op}' is not served by a read-only "
-                             "replica; connect to the primary")
 
     async def _op_hello(self, conn, rid, message) -> dict:
         branch = message.get("branch", "main")
@@ -547,50 +542,19 @@ class StoreServer:
             conn.session = self.service.session(conn.branch)
         return conn.session
 
-    async def _op_begin(self, conn, rid, message) -> dict:
-        self._require_writable("begin")
-        txn = self._session(conn).begin()
-        handle = conn.new_handle()
-        conn.txns[handle] = txn
-        return protocol.ok_response(rid, txn=handle, base=txn.base.vid)
-
-    def _txn_for(self, conn: _Connection, message: dict):
-        handle = message.get("txn")
-        if not isinstance(handle, str):
-            raise ProtocolError("'txn' must be a transaction handle "
-                                "string from 'begin'")
-        try:
-            return handle, conn.txns[handle]
-        except KeyError:
-            raise StoreError(
-                f"unknown transaction handle {handle!r} (already "
-                "committed, or from another connection?)") from None
-
-    async def _op_stage(self, conn, rid, message) -> dict:
-        self._require_writable("stage")
-        handle, txn = self._txn_for(conn, message)
+    async def _op_commit(self, conn, rid, message) -> dict:
         ops = message.get("ops")
         if not isinstance(ops, list):
             raise ProtocolError("'ops' must be a list of op records")
-        before = len(txn.ops)
-        try:
-            txn.apply_records(ops)
-        except Exception:
-            del txn.ops[before:]  # a failed stage leaves the txn as-was
-            raise
-        return protocol.ok_response(rid, txn=handle,
-                                    staged=len(txn.ops))
-
-    async def _op_commit(self, conn, rid, message) -> dict:
-        self._require_writable("commit")
-        handle, txn = self._txn_for(conn, message)
-        del conn.txns[handle]  # the handle is consumed either way
         session = self._session(conn)
         async with self._commit_slots:  # write backpressure
             self._g_inflight.inc()
             try:
+                # Begin at the head, buffer, commit: a malformed record
+                # raises before anything is committed.
                 version = await self._loop.run_in_executor(
-                    None, session.commit, txn)
+                    None, lambda: session.commit(
+                        session.begin().apply_records(ops)))
             finally:
                 self._g_inflight.dec()
         self._c_commits.inc()
@@ -616,7 +580,6 @@ class StoreServer:
                                     version=version.vid)
 
     async def _op_branch(self, conn, rid, message) -> dict:
-        self._require_writable("branch")
         name = message.get("name")
         if not isinstance(name, str):
             raise ProtocolError("'name' must be a branch name string")

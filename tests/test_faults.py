@@ -65,7 +65,7 @@ class TestSplitFrames:
         assert frames == [] and rest == f1[:3]
 
     def test_bytes_pass_through_untouched(self):
-        f1 = encode_frame({"op": "commit", "txn": "t1", "id": 9})
+        f1 = encode_frame({"op": "commit", "ops": [], "id": 9})
         frames, _ = split_frames(f1)
         assert frames[0] == f1  # header included, payload verbatim
 

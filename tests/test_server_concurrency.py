@@ -294,10 +294,10 @@ class TestDisconnectTeardown:
         with StoreServer(engine, max_inflight_commits=2) as server:
             for i, row in enumerate(rows):
                 client = StoreClient(*server.address)
-                txn = client.begin()
-                txn.insert("manager", row)
                 client.send_message(
-                    {"id": 99, "op": "commit", "txn": txn.handle})
+                    {"id": 99, "op": "commit",
+                     "ops": [{"op": "insert", "relation": "manager",
+                              "row": row}]})
                 if i % 2 == 0:
                     client.close()  # vanish without reading the answer
                 else:

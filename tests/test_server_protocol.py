@@ -31,14 +31,16 @@ from repro.errors import (
     TransactionConflict,
 )
 from repro.io import FRAME_HEADER, encode_frame, FrameDecoder
-from repro.server import StoreClient, StoreServer
+from repro.server import ReplicaEngine, StoreClient, StoreServer, protocol
 from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    WRITE_OPS,
     error_payload,
     ok_response,
     raise_for_error,
     validate_request,
 )
-from repro.store import StoreEngine
+from repro.store import SessionService, StoreEngine, WriteAheadLog
 from repro.workloads.sessions import manager_stream, serving_state
 
 from generators import random_frame_message, random_json_value
@@ -228,48 +230,49 @@ class TestServerOps:
     def test_ping(self, client):
         assert client.ping() is True
 
-    def test_begin_stage_commit_read(self, client):
+    def test_commit_then_read_at_the_acked_version(self, client):
         row = manager_stream(10, 1)[0]
-        txn = client.begin()
-        assert txn.base.startswith("v")
-        assert txn.insert("manager", row) == 1
-        result = txn.commit()
+        result = client.run([{"op": "insert", "relation": "manager",
+                              "row": row, "propagate": True}])
         assert result["branch"] == "main"
         rows, vid = client.read_at("manager", at=result["version"])
         assert row in rows and vid == result["version"]
 
     def test_commit_rejection_carries_findings(self, client):
-        txn = client.begin()
-        txn.stage([{"op": "insert", "relation": "worksfor",
-                    "row": {"pname": 9, "dname": 8, "budget": 50,
-                            "role": 1},
-                    "propagate": False}])
         with pytest.raises(CommitRejected) as caught:
-            txn.commit()
+            client.run([{"op": "insert", "relation": "worksfor",
+                         "row": {"pname": 9, "dname": 8, "budget": 50,
+                                 "role": 1},
+                         "propagate": False}])
         assert caught.value.findings  # witness findings crossed the wire
         assert any("witnesses" in f for f in caught.value.findings)
 
-    def test_commit_consumes_the_handle(self, client):
-        txn = client.begin()
-        txn.commit()  # empty txn: no-op commit
-        with pytest.raises(StoreError, match="unknown transaction"):
-            client.commit(txn.handle)
+    def test_empty_commit_returns_the_head(self, client):
+        head = client.status()["branches"]["main"]
+        result = client.run([])
+        assert result["version"] == head and result["branch"] == "main"
+        assert client.status()["branches"]["main"] == head
 
-    def test_failed_stage_leaves_txn_as_it_was(self, client):
+    def test_malformed_record_fails_the_whole_commit(self, tmp_path):
+        """One bad record sinks the frame: the valid record before it is
+        not installed, nothing reaches the WAL, the connection serves."""
+        schema, db, constraints = serving_state(10)
+        wal = tmp_path / "w.jsonl"
+        engine = StoreEngine(db, constraints, wal=WriteAheadLog(wal))
         row = manager_stream(10, 2)[1]
-        txn = client.begin()
-        txn.insert("manager", row)
-        with pytest.raises((StoreError, ProtocolError, ExtensionError)):
-            txn.stage([{"op": "insert", "relation": "manager",
-                        "row": {"pname": row["pname"]}},  # wrong schema
-                       {"op": "insert", "relation": "manager"}])
-        # the surviving buffered op still commits
-        result = txn.commit()
-        assert row in client.read("manager", at=result["version"])
-
-    def test_stage_unknown_handle(self, client):
-        with pytest.raises(StoreError, match="unknown transaction"):
-            client.stage("t999", [])
+        with StoreServer(engine) as srv, StoreClient(*srv.address) as c:
+            head = c.status()["branches"]["main"]
+            wal_bytes = wal.stat().st_size
+            with pytest.raises((StoreError, ExtensionError)):
+                c.run([{"op": "insert", "relation": "manager",
+                        "row": row},
+                       {"op": "insert", "relation": "manager",
+                        "row": {"pname": row["pname"]}}])  # wrong schema
+            assert c.status()["branches"]["main"] == head
+            assert wal.stat().st_size == wal_bytes
+            assert row not in c.read("manager")
+            assert c.ping()
+        engine.close()
 
     def test_read_unknown_relation_errors_cleanly(self, client):
         with pytest.raises((StoreError, ExtensionError)):
@@ -320,12 +323,57 @@ class TestServerOps:
                 response = c.recv_message()
                 assert response["id"] == rid and response["ok"]
 
+    def test_hello_refuses_another_protocol_version(self, server,
+                                                    monkeypatch):
+        monkeypatch.setattr(protocol, "PROTOCOL_VERSION",
+                            PROTOCOL_VERSION + 1)
+        with StoreClient(*server.address, hello=False) as c:
+            with pytest.raises(ProtocolError) as caught:
+                c.hello()
+        message = str(caught.value)
+        assert f"protocol {PROTOCOL_VERSION + 1}" in message
+        assert f"protocol {PROTOCOL_VERSION}" in message
+
     def test_pipelined_requests_answer_in_order(self, server):
         with StoreClient(*server.address, hello=False) as c:
             for rid in range(5):
                 c.send_message({"id": rid, "op": "ping"})
             for rid in range(5):
                 assert c.recv_message()["id"] == rid
+
+
+class TestReadOnlyReplica:
+    def test_replica_answers_read_only_to_every_write_op(self, tmp_path):
+        wal = tmp_path / "w.jsonl"
+        schema, db, constraints = serving_state(10)
+        primary = StoreEngine(db, constraints, wal=WriteAheadLog(wal))
+        rows = manager_stream(10, 2)
+        SessionService(primary).session().commit(
+            primary.begin().insert("manager", rows[0]))
+        replica = ReplicaEngine(wal)
+        replica.sync()
+        graph = replica.engine.graph
+        before = (len(graph), graph.branches())
+        writes = {
+            "commit": {"ops": [{"op": "insert", "relation": "manager",
+                                "row": rows[1]}]},
+            "branch": {"name": "replica-dev"},
+        }
+        assert set(writes) == WRITE_OPS
+        with StoreServer(replica, sync_interval=0) as srv, \
+                StoreClient(*srv.address) as c:
+            for op, fields in writes.items():
+                c.send_message({"id": op, "op": op, **fields})
+                response = c.recv_message()
+                assert response["id"] == op and response["ok"] is False
+                assert response["error"]["code"] == "read-only"
+            with pytest.raises(StoreError, match="^read-only replica: "):
+                c.run(writes["commit"]["ops"])
+            with pytest.raises(StoreError, match="^read-only replica: "):
+                c.create_branch("replica-dev")
+            assert c.ping()
+        assert (len(graph), graph.branches()) == before
+        primary.close()
 
 
 class TestConnectionBounds:
@@ -404,14 +452,16 @@ def _fuzz_bytes(rng: random.Random, category: str,
         return encode_frame({"id": rng.randint(0, 99)})
     if category == "unknown-op":
         return encode_frame({"id": 1, "op": rng.choice(
-            ["frobnicate", "", "commit ", "READ", "delete-everything"])})
+            ["frobnicate", "", "commit ", "READ", "delete-everything",
+             "begin", "stage"])})
     if category == "bad-id":
         return encode_frame({"id": {"nested": True}, "op": "ping"})
     assert category == "bad-field-types"
     return encode_frame(rng.choice([
         {"id": 1, "op": "read", "relation": 42},
-        {"id": 2, "op": "stage", "txn": 7, "ops": []},
-        {"id": 3, "op": "stage", "txn": "t1", "ops": "not-a-list"},
+        {"id": 2, "op": "commit"},
+        {"id": 3, "op": "commit", "ops": "not-a-list"},
+        {"id": 7, "op": "commit", "ops": [["insert", "manager"]]},
         {"id": 4, "op": "hello", "branch": ["main"]},
         {"id": 5, "op": "branch", "name": None},
         {"id": 6, "op": "read", "relation": "dept", "at": 11},
