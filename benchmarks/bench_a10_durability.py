@@ -84,7 +84,7 @@ def test_a10_replay_from_checkpoint(benchmark, churn_wal):
 def test_a10_checkpoint_cost(benchmark, tmp_path):
     """One checkpoint record: every branch head serialised to the log."""
     schema, db, constraints = state(1000)
-    engine = StoreEngine(db, constraints, wal=tmp_path / "a10.wal")
+    engine = StoreEngine(db, constraints, wal=tmp_path / "a10-wal")
     _commit_batch(engine, disjoint_commit_specs(
         manager_stream(1000, 120), WRITERS))
 

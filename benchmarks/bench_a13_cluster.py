@@ -79,7 +79,7 @@ def test_a13_heal_cycle(benchmark, tmp_path):
     built = []
 
     def fresh():
-        wal = tmp_path / f"heal{len(built)}.jsonl"
+        wal = tmp_path / f"heal{len(built)}-wal"
         primary = _build_history(wal)
         clock = _Clock()
         replicas = {rid: ReplicaEngine(wal)
@@ -122,7 +122,7 @@ def test_a13_heal_cycle(benchmark, tmp_path):
 def test_a13_balancer_reads(benchmark, tmp_path):
     """Fan-out reads across two live replicas: rotation plus wire cost
     per served read."""
-    wal = tmp_path / "balance.jsonl"
+    wal = tmp_path / "balance-wal"
     _build_history(wal)
     replicas = {rid: ReplicaEngine(wal) for rid in ("r1", "r2")}
     servers = {}
@@ -149,7 +149,7 @@ def test_a13_balancer_reads(benchmark, tmp_path):
 def test_a13_monitor_ticks(benchmark, tmp_path):
     """Steady-state detector overhead: 200 ticks over three healthy
     local probes."""
-    wal = tmp_path / "monitor.jsonl"
+    wal = tmp_path / "monitor-wal"
     _build_history(wal)
     monitor = HealthMonitor(probe_interval=0.0)
     for rid in ("r1", "r2", "r3"):

@@ -43,7 +43,7 @@ def state(n: int):
 def _fresh_engine(tmp_path, tag, instrumented):
     schema, db, constraints = state(ROWS)
     engine = StoreEngine(db, constraints,
-                         wal=str(tmp_path / f"{tag}.jsonl"))
+                         wal=str(tmp_path / f"{tag}-wal"))
     if instrumented:
         engine.attach_observability(MetricsRegistry(), Tracer(),
                                     slow_commit_threshold=0.1)

@@ -84,7 +84,7 @@ def test_a9_store_commits_delta(benchmark, rows):
 def test_a9_wal_replay(benchmark, rows, tmp_path):
     """Trusted replay of a 120-commit WAL back into a full version graph."""
     schema, db, constraints = state(rows)
-    path = tmp_path / "a9.wal"
+    path = tmp_path / "a9-wal"
     engine = StoreEngine(db, constraints, wal=path)
     _commit_batch(engine, disjoint_commit_specs(
         manager_stream(rows, 120), WRITERS))

@@ -216,8 +216,7 @@ class FaultyWal:
 
     def _mark_durable(self) -> None:
         for p in WriteAheadLog.segment_paths(self.wal.path):
-            if p.exists():
-                self._durable[str(p)] = p.stat().st_size
+            self._durable[str(p)] = p.stat().st_size
 
     def _write_partial(self, line: str, event: dict,
                        durable: bool) -> None:
@@ -266,8 +265,6 @@ class FaultyWal:
         self.wal.close()
         dropped: dict[str, int] = {}
         for p in WriteAheadLog.segment_paths(self.wal.path):
-            if not p.exists():
-                continue
             watermark = self._durable.get(str(p))
             if watermark is None or p.stat().st_size <= watermark:
                 continue

@@ -44,12 +44,12 @@ class ReplicaEngine:
     Parameters
     ----------
     wal_path:
-        The primary's log — a single file or a segment directory.  The
-        replica only ever reads it.
+        The primary's log, a segment directory.  The replica only ever
+        reads it.
     from_checkpoint:
-        When ``True`` (default), bootstrap skips to the newest
-        checkpoint-headed segment (and, within the first batch, to the
-        newest inline checkpoint), mirroring
+        When ``True`` (default), bootstrap starts at the newest
+        checkpoint-headed segment visible at the first :meth:`sync`
+        that finds records, mirroring
         ``StoreEngine.replay(from_checkpoint=True)`` — pre-checkpoint
         versions are simply absent, restored as floor versions.  With
         ``False`` the replica applies the full history from v0.
@@ -84,9 +84,6 @@ class ReplicaEngine:
         self.promoted = False
         self._engine: StoreEngine | None = None
         self._cursor = WalCursor(self.wal_path)
-        if from_checkpoint:
-            self._cursor.seek_newest_checkpoint_segment()
-        self._skip_to_checkpoint = from_checkpoint
         self._lock = threading.Lock()
         self._applied_records = 0
         self._last_sync: float | None = None
@@ -139,21 +136,14 @@ class ReplicaEngine:
         """
         with self._lock, self.tracer.span("replica.sync"):
             self._check_promoted()
+            if self._engine is None and self.from_checkpoint:
+                # Not bootstrapped yet: start where replay would.
+                self._cursor.seek_newest_checkpoint_segment()
             records = self._cursor.poll(max_records)
-            if self._skip_to_checkpoint and self._engine is None:
-                # A single-segment (or single-file) log keeps its
-                # checkpoints inline; resume at the newest one visible
-                # in the bootstrap batch, exactly like replay.
-                for i in range(len(records) - 1, -1, -1):
-                    if records[i].get("type") == "checkpoint":
-                        records = records[i:]
-                        break
             applied = 0
             for record in records:
                 self._apply(record)
                 applied += 1
-            if applied or self._engine is not None:
-                self._skip_to_checkpoint = False
             self._applied_records += applied
             self._last_sync = time.monotonic()
             if self._c_syncs is not None:
@@ -263,7 +253,6 @@ class ReplicaEngine:
             self._engine = None
             self._cursor = WalCursor(self.wal_path)
             self._cursor.seek_newest_checkpoint_segment()
-            self._skip_to_checkpoint = True
         return self.sync()
 
     def mark_promoted(self) -> None:
@@ -383,5 +372,4 @@ class ReplicaEngine:
 
 def segments_snapshot(wal_path: str | Path) -> list[str]:
     """The log's current segment names (diagnostics for lag reports)."""
-    return [p.name for p in WriteAheadLog.segment_paths(wal_path)
-            if p.exists()]
+    return [p.name for p in WriteAheadLog.segment_paths(wal_path)]

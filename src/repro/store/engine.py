@@ -153,11 +153,11 @@ class StoreEngine:
         Integrity constraints (a :class:`ConstraintSet` or an iterable)
         every committed state must satisfy.
     wal:
-        Optional path or :class:`WriteAheadLog`; when given, the root
+        Optional segment-directory path or :class:`WriteAheadLog` (pass
+        an instance to set rotation bounds); when given, the root
         snapshot and every commit/branch/checkpoint are logged durably.
-        A segmented :class:`WriteAheadLog` instance (rotation bounds or
-        a directory path) gives the log bounded segments that
-        :meth:`checkpoint` heads and :meth:`WriteAheadLog.prune` drops.
+        Every :meth:`checkpoint` heads a fresh segment, and
+        :meth:`WriteAheadLog.prune` drops the segments before it.
         Any :class:`~repro.core.integrity.IntegrityConstraint` kind
         is accepted: functional, cardinality, subset and participation
         constraints are judged through the probe index, any other kind
@@ -572,10 +572,10 @@ class StoreEngine:
 
         Replay resumes from the newest checkpoint instead of v0, which
         is what keeps recovery time proportional to *recent* history.
-        On a segmented WAL the log rotates first, so the checkpoint is
-        its segment's first record and every older segment becomes
-        prunable (:meth:`prune_wal`); on a single-file WAL the record
-        is appended inline.  Returns the record written.
+        The log rotates first, so the checkpoint is its segment's first
+        record and every older segment becomes prunable
+        (:meth:`prune_wal`).  The record carries the engine's epoch, so
+        the fence survives it.  Returns the record written.
         """
         with self._lock:
             return self._checkpoint_locked()
@@ -595,7 +595,7 @@ class StoreEngine:
     def prune_wal(self, archive: str | Path | None = None) -> list[Path]:
         """Drop (or archive) WAL segments older than the newest
         checkpointed one — safe at any time: replay never reads them.
-        A no-op for single-file or never-checkpointed logs."""
+        A no-op for a never-checkpointed log."""
         if self.wal is None:
             raise StoreError("this engine has no WAL to prune")
         with self._lock:
@@ -712,8 +712,8 @@ class StoreEngine:
         :class:`StoreError`.
 
         With ``from_checkpoint=True`` (the default) replay starts at
-        the newest checkpoint — for a segmented log, old segments are
-        never even read — restoring each checkpointed branch head as a
+        the newest checkpoint-headed segment — older segments are never
+        even read — restoring each checkpointed branch head as a
         parentless *floor* version and re-applying only the commits
         after it; the pre-checkpoint versions are simply absent from
         the rebuilt graph (the in-memory mirror of segment pruning).
@@ -739,23 +739,9 @@ class StoreEngine:
                 "(crash mid-append); replaying the intact prefix",
                 TornTailWarning, stacklevel=2)
         segments = WriteAheadLog.segment_paths(wal_path)
-        start = 0
-        if from_checkpoint:
-            for i in range(len(segments) - 1, 0, -1):
-                head = WriteAheadLog.first_record(segments[i])
-                if head is not None and head.get("type") == "checkpoint":
-                    start = i
-                    break
+        start = WriteAheadLog.checkpoint_floor(segments) \
+            if from_checkpoint else 0
         records = WriteAheadLog._records_from(segments[start:])
-        if from_checkpoint and start == 0:
-            # Single-file logs (and single-segment ones) keep their
-            # checkpoints inline; skip ahead to the newest.
-            buffered = list(records)
-            for i in range(len(buffered) - 1, -1, -1):
-                if buffered[i].get("type") == "checkpoint":
-                    buffered = buffered[i:]
-                    break
-            records = iter(buffered)
         try:
             first = next(records)
         except StopIteration:

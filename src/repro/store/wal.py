@@ -2,7 +2,7 @@
 
 One record per line, in the :mod:`repro.io` value convention (attribute
 names to JSON scalars — the Attribute Axiom's atomicity is what makes
-the rows losslessly JSON-codable).  Four record types:
+the rows losslessly JSON-codable).  Five record types:
 
 * ``snapshot`` — the root version as a self-contained database document
   (schema, relations, constraints), written once when a WAL-backed
@@ -27,21 +27,29 @@ monotone sequence and every state is re-derived by re-applying the
 logged operations, so the replayed states are equal — relation for
 relation — to the originals.
 
-A log is either a **single file** (the original form) or a **segment
-directory** holding ``wal.000001.jsonl``, ``wal.000002.jsonl``, … in
-append order.  Segmented logs rotate on size/record-count bounds and on
-every checkpoint (so a checkpoint always heads its segment); segments
-before the newest checkpointed one carry no information the checkpoint
-does not, and :meth:`WriteAheadLog.prune` archives or drops them.
+A log is a **segment directory** holding ``wal.000001.jsonl``,
+``wal.000002.jsonl``, … in append order.  It rotates on the optional
+size/record-count bounds and on every checkpoint and epoch stamp, so a
+checkpoint or epoch record always heads its segment: replay, replicas
+and :meth:`WriteAheadLog.current_epoch` find the newest one by peeking
+at segment heads, and segments before the newest checkpointed one
+carry no information the checkpoint does not, so
+:meth:`WriteAheadLog.prune` archives or drops them.
+
+A regular file at a log path is a log from before segment directories
+were the only form; it is refused with the migration recipe: ``mkdir D
+&& mv F D/wal.000001.jsonl``, then ``python -m repro.cli checkpoint D``
+when an ``F.epoch`` sidecar exists (the checkpoint carries the epoch to
+a segment head, where the fence looks for it).
 
 Crash-safety contract: a crash mid-append leaves a torn *final* line.
 :meth:`records` drops it with a :class:`~repro.errors.TornTailWarning`
 (and :meth:`repair` truncates it off the file), because the prefix is a
 complete, valid history; a corrupt line anywhere *before* the final
 record is tampering or media failure and raises
-:class:`~repro.errors.StoreError`.  New log files (and fresh segments)
-fsync their parent directory so the file itself — not just its
-contents — survives power loss.
+:class:`~repro.errors.StoreError`.  A new log directory fsyncs its
+parent, and every new segment its directory, so the files themselves —
+not just their contents — survive power loss.
 """
 
 from __future__ import annotations
@@ -91,21 +99,33 @@ def _parse_line(line: bytes | str):
     return record, True
 
 
+def _not_a_directory(path: Path) -> StoreError:
+    """The refusal for a regular file at a log path — a single-file log
+    from before segment directories were the only form — naming the
+    migration."""
+    return StoreError(
+        f"WAL {path} is a regular file; a WAL is a segment directory.  "
+        f"Migrate it with `mkdir D && mv {path} D/wal.000001.jsonl`, "
+        f"then run `python -m repro.cli checkpoint D` if the epoch "
+        f"sidecar {path}.epoch exists")
+
+
 class WriteAheadLog:
-    """An append-only JSON-lines log, single-file or segmented.
+    """An append-only JSON-lines log in a segment directory.
 
     Every :meth:`append` flushes to the OS; with ``sync=True`` it also
     ``fsync``\\ s, trading commit latency for power-loss durability.
     Appends are serialised by the engine's commit lock, which is what
     makes the log a total order of the graph's growth.
 
-    ``path`` naming a directory (or either rotation bound being set)
-    selects segmented mode: records append to the highest-numbered
+    ``path`` is a directory, created when missing (an existing empty
+    one is fine; a regular file raises :class:`StoreError` naming the
+    migration).  Records append to the highest-numbered
     ``wal.NNNNNN.jsonl`` segment, and a new segment starts whenever the
     current one holds ``segment_records`` records or ``segment_bytes``
-    bytes — or whenever the engine writes a checkpoint
-    (:meth:`rotate`).  Single-file logs never rotate; checkpoints are
-    appended inline.
+    bytes — or whenever the engine writes a checkpoint or a promotion
+    stamps an epoch (:meth:`rotate`).  With neither bound set, only
+    checkpoints and epochs rotate.
     """
 
     def __init__(self, path: str | Path, sync: bool = False,
@@ -119,25 +139,24 @@ class WriteAheadLog:
         self.sync = sync
         self.segment_records = segment_records
         self.segment_bytes = segment_bytes
-        self.segmented = (path.is_dir() or segment_records is not None
-                          or segment_bytes is not None)
         self.path = path
         # Duck-typed observability hook (repro.obs.metrics.WalProbe):
         # when attached, append counts records/bytes into the registry
         # and times the fsync so the commit pipeline can attribute it
         # as its own phase.
         self.probe = None
-        if self.segmented:
-            path.mkdir(parents=True, exist_ok=True)
-            segments = self.segment_paths(path)
-            if segments:
-                index = int(_SEGMENT_RE.match(segments[-1].name).group(1))
-            else:
-                index = 1
-            self._segment_index = index
-            self._open_segment(path / (SEGMENT_PATTERN % index))
+        try:
+            path.mkdir(parents=True)
+        except FileExistsError:
+            if not path.is_dir():
+                raise _not_a_directory(path) from None
         else:
-            self._open_segment(path)
+            _fsync_dir(path.parent)  # the new log's own directory entry
+        segments = self.segment_paths(path)
+        self._segment_index = (
+            int(_SEGMENT_RE.match(segments[-1].name).group(1))
+            if segments else 1)
+        self._open_segment(path / (SEGMENT_PATTERN % self._segment_index))
         self.epoch = self.current_epoch(path)
 
     def _open_segment(self, file_path: Path) -> None:
@@ -159,8 +178,7 @@ class WriteAheadLog:
 
     @property
     def current_segment(self) -> Path:
-        """The file appends currently land in (``path`` itself for a
-        single-file log)."""
+        """The segment file appends currently land in."""
         return self._file
 
     def append(self, record: dict) -> None:
@@ -174,7 +192,7 @@ class WriteAheadLog:
         except (TypeError, ValueError) as exc:
             raise StoreError(f"WAL record is not JSON-codable: {exc}") from exc
         data = line + "\n"
-        if self.segmented and self._count > 0 and (
+        if self._count > 0 and (
                 (self.segment_records is not None
                  and self._count >= self.segment_records)
                 or (self.segment_bytes is not None
@@ -203,16 +221,17 @@ class WriteAheadLog:
         self._bytes += len(data)
 
     def rotate(self) -> Path:
-        """Start the next segment (the checkpoint and size-bound path).
+        """Start the next segment (the checkpoint, epoch and size-bound
+        path).
 
         The outgoing segment is flushed (and, under ``sync``, fsynced)
         before the new file is created, and the directory is fsynced so
-        the new segment survives power loss.  A no-op on single-file
-        logs and on a still-empty current segment.
+        the new segment survives power loss.  A no-op on a still-empty
+        current segment.
         """
         if self._fh.closed:
             raise StoreError(f"WAL {self.path} is closed; cannot rotate")
-        if not self.segmented or self._count == 0:
+        if self._count == 0:
             return self._file
         self._check_fence()
         self._fh.flush()
@@ -229,36 +248,22 @@ class WriteAheadLog:
     def _check_fence(self) -> None:
         """Refuse to write under a stale epoch.
 
-        Promotion rotates the log to a fresh segment (or, for a
-        single-file log, bumps the ``<path>.epoch`` sidecar), so a
-        demoted handle detects the takeover with one ``stat``: a
-        segment it did not create appearing after its own, or a sidecar
-        epoch beyond the one it holds.  The check runs on every append
-        and rotation — appends are per-commit, so the extra stat rides
-        a path that already pays for validation and an fsync-able
-        write.
+        Promotion rotates the log to a fresh segment, so a demoted
+        handle detects the takeover with one ``stat``: a segment it did
+        not create appearing after its own.  The check runs on every
+        append and rotation — appends are per-commit, so the extra stat
+        rides a path that already pays for validation and an
+        fsync-able write.
         """
-        if self.segmented:
-            nxt = self.path / (SEGMENT_PATTERN % (self._segment_index + 1))
-            if not nxt.exists():
-                return
-            current = self.current_epoch(self.path)
-            raise EpochFenced(
-                f"WAL {self.path} was taken over (epoch "
-                f"{max(current, self.epoch + 1)} stamped past segment "
-                f"{self._file.name}); this handle holds epoch "
-                f"{self.epoch} and may no longer append",
-                held=self.epoch, current=max(current, self.epoch + 1))
-        marker = self.epoch_marker(self.path)
-        try:
-            current = int(marker.read_text().split()[0])
-        except (OSError, ValueError):
-            return  # no sidecar: no promotion ever happened here
-        if current > self.epoch:
-            raise EpochFenced(
-                f"WAL {self.path} was taken over at epoch {current}; "
-                f"this handle holds epoch {self.epoch} and may no "
-                "longer append", held=self.epoch, current=current)
+        nxt = self.path / (SEGMENT_PATTERN % (self._segment_index + 1))
+        if not nxt.exists():
+            return
+        current = max(self.current_epoch(self.path), self.epoch + 1)
+        raise EpochFenced(
+            f"WAL {self.path} was taken over (epoch {current} stamped "
+            f"past segment {self._file.name}); this handle holds epoch "
+            f"{self.epoch} and may no longer append",
+            held=self.epoch, current=current)
 
     def stamp_epoch(self, epoch: int | None = None,
                     seq: int | None = None,
@@ -269,9 +274,7 @@ class WriteAheadLog:
 
         ``epoch`` defaults to the successor of the newest epoch visible
         in the log; ``seq``/``heads`` record where the graph stood at
-        takeover, so replay can cross-check.  Single-file logs cannot
-        rotate, so the fence is a ``<path>.epoch`` sidecar bumped
-        atomically alongside the inline record.  Returns the record.
+        takeover, so replay can cross-check.  Returns the record.
         """
         self._check_fence()  # two racing promotions: first stamp wins
         current = self.current_epoch(self.path)
@@ -289,46 +292,24 @@ class WriteAheadLog:
         os.fsync(self._fh.fileno())
         self._count += 1
         self._bytes += len(line) + 1
-        if not self.segmented:
-            marker = self.epoch_marker(self.path)
-            with open(marker, "w", encoding="utf-8") as fh:
-                fh.write(f"{epoch}\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            _fsync_dir(marker.parent)
         self.epoch = epoch
         return record
 
     @staticmethod
-    def epoch_marker(path: str | Path) -> Path:
-        """The sidecar file fencing a *single-file* log (segmented logs
-        fence through segment appearance instead)."""
-        path = Path(path)
-        return path.parent / (path.name + ".epoch")
-
-    @staticmethod
     def current_epoch(path: str | Path) -> int:
         """The newest epoch stamped into the log (0 before any
-        promotion).  Segmented logs answer from segment heads — epoch
-        records always head their segment, and checkpoints carry the
-        epoch they were taken under — single-file logs from the
-        sidecar."""
-        path = Path(path)
-        if path.is_dir():
-            for segment in reversed(WriteAheadLog.segment_paths(path)):
-                head = WriteAheadLog.first_record(segment)
-                if head is None:
-                    continue
-                if head.get("type") == "epoch":
-                    return int(head.get("epoch", 0))
-                if head.get("type") == "checkpoint" and "epoch" in head:
-                    return int(head["epoch"])
-            return 0
-        marker = WriteAheadLog.epoch_marker(path)
-        try:
-            return int(marker.read_text().split()[0])
-        except (OSError, ValueError):
-            return 0
+        promotion), answered from segment heads: epoch records always
+        head their segment, and checkpoints — which head theirs too —
+        carry the epoch they were taken under."""
+        for segment in reversed(WriteAheadLog.segment_paths(path)):
+            head = WriteAheadLog.first_record(segment)
+            if head is None:
+                continue
+            if head.get("type") == "epoch":
+                return int(head.get("epoch", 0))
+            if head.get("type") == "checkpoint" and "epoch" in head:
+                return int(head["epoch"])
+        return 0
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -345,25 +326,36 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     @staticmethod
     def segment_paths(path: str | Path) -> list[Path]:
-        """The log's files in append order: its numbered segments for a
-        directory, ``[path]`` for a single-file log."""
+        """The log's segment files in append order (none for a missing
+        directory)."""
         path = Path(path)
-        if path.is_dir():
-            return sorted(p for p in path.iterdir()
-                          if _SEGMENT_RE.match(p.name))
-        return [path]
+        try:
+            names = os.listdir(path)
+        except FileNotFoundError:
+            return []
+        except NotADirectoryError:
+            raise _not_a_directory(path) from None
+        return [path / name for name in sorted(names)
+                if _SEGMENT_RE.match(name)]
+
+    @staticmethod
+    def checkpoint_floor(segments: list[Path]) -> int:
+        """The index into ``segments`` of the newest checkpoint-headed
+        segment, or 0 when none is — where replay, a bootstrapping
+        replica cursor and :meth:`prune` start.  Only segment heads are
+        peeked at: a checkpoint always opens its segment."""
+        for i in range(len(segments) - 1, 0, -1):
+            head = WriteAheadLog.first_record(segments[i])
+            if head is not None and head.get("type") == "checkpoint":
+                return i
+        return 0
 
     @staticmethod
     def is_empty(path: str | Path) -> bool:
-        """True when the log holds no records yet (missing file, empty
-        file, or a segment directory of empty segments)."""
-        path = Path(path)
-        if not path.exists():
-            return True
-        if path.is_dir():
-            return all(p.stat().st_size == 0
-                       for p in WriteAheadLog.segment_paths(path))
-        return path.stat().st_size == 0
+        """True when the log holds no records yet (a missing directory,
+        or one of empty segments)."""
+        return all(p.stat().st_size == 0
+                   for p in WriteAheadLog.segment_paths(path))
 
     @staticmethod
     def first_record(path: str | Path) -> dict | None:
@@ -385,7 +377,7 @@ class WriteAheadLog:
     @staticmethod
     def records(path: str | Path, torn_tail: str = "warn") -> Iterator[dict]:
         """The log's records in append order (blank lines skipped),
-        across every segment for a directory path.
+        across every segment.
 
         ``torn_tail`` governs the *final* line of the *final* segment
         when it is not a complete record — the signature a crash
@@ -431,7 +423,7 @@ class WriteAheadLog:
 
     @staticmethod
     def repair(path: str | Path) -> int:
-        """Truncate a torn final line off the log's last file.
+        """Truncate a torn final line off the log's last segment.
 
         Returns the bytes dropped (0 when the tail is clean).  Only the
         *final* line may be malformed — that is what a crash mid-append
@@ -447,7 +439,7 @@ class WriteAheadLog:
         where the durable prefix ends.
         """
         segments = WriteAheadLog.segment_paths(path)
-        if not segments or not segments[-1].exists():
+        if not segments:
             return 0
         last = segments[-1]
         data = last.read_bytes()
@@ -500,24 +492,15 @@ class WriteAheadLog:
 
         Those segments describe only history the checkpoint already
         carries in full, so replay never reads them; pruning is how a
-        long-running store's disk stays bounded.  Single-file logs and
-        segmented logs without a checkpoint are left untouched (their
-        whole history is still load-bearing).  Returns the pruned
-        segment paths (their *original* locations).
+        long-running store's disk stays bounded.  A log without a
+        checkpoint is left untouched (its whole history is still
+        load-bearing).  Returns the pruned segment paths (their
+        *original* locations).
         """
-        path = Path(path)
-        if not path.is_dir():
-            return []
         segments = WriteAheadLog.segment_paths(path)
-        floor = None
-        for i in range(len(segments) - 1, 0, -1):
-            first = WriteAheadLog.first_record(segments[i])
-            if first is not None and first.get("type") == "checkpoint":
-                floor = i
-                break
-        if floor is None:
+        victims = segments[:WriteAheadLog.checkpoint_floor(segments)]
+        if not victims:
             return []
-        victims = segments[:floor]
         if archive is not None:
             archive = Path(archive)
             archive.mkdir(parents=True, exist_ok=True)
@@ -526,7 +509,7 @@ class WriteAheadLog:
                 shutil.move(str(p), str(archive / p.name))
             else:
                 p.unlink()
-        _fsync_dir(path)
+        _fsync_dir(Path(path))
         if archive is not None:
             _fsync_dir(archive)
         return victims
@@ -567,8 +550,7 @@ class WalCursor:
         self._offset = 0
         if position is not None:
             if position.get("segment") is not None:
-                self._segment = self.path / position["segment"] \
-                    if self.path.is_dir() else self.path
+                self._segment = self.path / position["segment"]
             self._offset = int(position.get("offset", 0))
 
     def position(self) -> dict:
@@ -583,8 +565,7 @@ class WalCursor:
         """Bytes of log the cursor has not consumed yet — the cheap
         staleness measure a replica's lag report leads with (0 means the
         replica has read everything durably written so far)."""
-        segments = [p for p in WriteAheadLog.segment_paths(self.path)
-                    if p.exists()]
+        segments = WriteAheadLog.segment_paths(self.path)
         if not segments:
             return 0
         if self._segment is None:
@@ -602,17 +583,15 @@ class WalCursor:
         return behind
 
     def seek_newest_checkpoint_segment(self) -> None:
-        """Position the cursor at the newest checkpoint-headed segment
-        (a no-op when none exists, or for single-file logs) — the
-        bootstrap that lets a fresh replica skip pruned-or-prunable
-        history entirely, mirroring ``replay(from_checkpoint=True)``."""
+        """Position the cursor at the start of the newest
+        checkpoint-headed segment (the first segment when none is) —
+        the bootstrap that lets a fresh replica skip pruned-or-prunable
+        history entirely, mirroring ``replay(from_checkpoint=True)``.
+        A no-op while the log has no segments."""
         segments = WriteAheadLog.segment_paths(self.path)
-        for i in range(len(segments) - 1, 0, -1):
-            head = WriteAheadLog.first_record(segments[i])
-            if head is not None and head.get("type") == "checkpoint":
-                self._segment = segments[i]
-                self._offset = 0
-                return
+        if segments:
+            self._segment = segments[WriteAheadLog.checkpoint_floor(segments)]
+            self._offset = 0
 
     def poll(self, max_records: int | None = None) -> list[dict]:
         """The complete records appended since the last poll.
@@ -625,8 +604,7 @@ class WalCursor:
         while True:
             if max_records is not None and len(out) >= max_records:
                 return out
-            segments = [p for p in WriteAheadLog.segment_paths(self.path)
-                        if p.exists()]
+            segments = WriteAheadLog.segment_paths(self.path)
             if not segments:
                 return out
             if self._segment is None:
@@ -679,6 +657,8 @@ class WalCursor:
             # Frozen segment fully consumed: advance to the next one.
             self._segment = segments[index + 1]
             self._offset = 0
+
+
 def snapshot_record(db, constraints, version_id: str,
                     branch: str) -> dict[str, Any]:
     """The root state as a ``snapshot`` record (a full database

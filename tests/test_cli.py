@@ -4,6 +4,7 @@ import pytest
 
 from repro import cli, io
 from repro.core.employee import employee_constraints, employee_extension
+from repro.store import WriteAheadLog
 
 
 @pytest.fixture
@@ -195,8 +196,6 @@ class TestCheckpointGc:
     def test_serve_rotates_and_checkpoints(self, segmented_wal, capsys):
         import json
 
-        from repro.store import WriteAheadLog
-
         segments = WriteAheadLog.segment_paths(segmented_wal)
         assert len(segments) > 1
         assert cli.main(["log", str(segmented_wal), "--json"]) == 0
@@ -228,7 +227,7 @@ class TestCheckpointGc:
                                                capsys):
         import json
 
-        wal = tmp_path / "single.wal"
+        wal = tmp_path / "store.wal"
         cli.main(["serve", document, "--txns", "12", "--threads", "1",
                   "--wal", str(wal), "--seed", "3"])
         capsys.readouterr()
@@ -248,8 +247,6 @@ class TestCheckpointGc:
 
     def test_gc_prunes_checkpointed_segments(self, segmented_wal, capsys):
         import json
-
-        from repro.store import WriteAheadLog
 
         before = WriteAheadLog.segment_paths(segmented_wal)
         assert cli.main(["gc", str(segmented_wal), "--dry-run",
@@ -276,6 +273,31 @@ class TestCheckpointGc:
         data = json.loads(capsys.readouterr().out)
         assert data["branches"] == done["branches"]
         assert data["audit"]["ok"] is True
+
+    def test_checkpoint_keeps_the_promoted_epoch(self, tmp_path, capsys):
+        """A CLI checkpoint heads a new segment, so it must carry the
+        log's epoch: after a promotion to epoch 1, neither the fence
+        (read from segment heads) nor a replay may rewind to 0 — a
+        later promotion would re-stamp an epoch already used."""
+        from repro.server import ReplicaEngine, promote
+        from repro.store import SessionService, StoreEngine
+        from repro.workloads import manager_stream, serving_state
+
+        schema, db, constraints = serving_state(8)
+        wal = tmp_path / "wal"
+        wal.mkdir()
+        engine = StoreEngine(db, constraints, wal=wal)
+        SessionService(engine).session().run(
+            [("insert", "manager", manager_stream(8, 1)[0])])
+        engine.close()
+        promoted = promote(ReplicaEngine(wal))
+        assert promoted.epoch == 1
+        promoted.wal.close()
+
+        assert cli.main(["checkpoint", str(wal)]) == 0
+        capsys.readouterr()
+        assert WriteAheadLog.current_epoch(wal) == 1
+        assert StoreEngine.replay(wal).epoch == 1
 
     def test_gc_without_checkpoint_is_noop(self, document, tmp_path,
                                            capsys):
@@ -311,7 +333,8 @@ class TestReplicaLagBound:
         assert "max_lag_bytes: 0" in out
 
     def test_over_bound_exits_nonzero(self, committed_wal, capsys):
-        with open(committed_wal, "ab") as f:
+        with open(WriteAheadLog.segment_paths(committed_wal)[-1],
+                  "ab") as f:
             f.write(b'{"type": "commit", "ver')  # a torn, growing tail
         assert cli.main(["replica", str(committed_wal), "--once",
                          "--timeout", "0.3",
@@ -321,7 +344,8 @@ class TestReplicaLagBound:
 
     def test_no_bound_keeps_the_old_contract(self, committed_wal,
                                              capsys):
-        with open(committed_wal, "ab") as f:
+        with open(WriteAheadLog.segment_paths(committed_wal)[-1],
+                  "ab") as f:
             f.write(b'{"type": "commit", "ver')
         assert cli.main(["replica", str(committed_wal), "--once",
                          "--timeout", "0.3"]) == 0

@@ -33,7 +33,7 @@ from repro.server import (
     engine_probe,
     wire_probe,
 )
-from repro.store import SessionService, StoreEngine
+from repro.store import SessionService, StoreEngine, WriteAheadLog
 from repro.workloads import manager_stream, serving_state
 
 from generators import chaos_seeds
@@ -708,7 +708,7 @@ class TestKillAndHealSweep:
         engine.close()
         torn = rng.random() < 0.5
         if torn:
-            with open(wal, "ab") as f:
+            with open(WriteAheadLog.segment_paths(wal)[-1], "ab") as f:
                 f.write(b'{"type": "commit", "ver')
 
         clock = FakeClock()

@@ -587,7 +587,7 @@ class TestFailoverClient:
 def _expected_from(path, tmp_path, tag):
     """Replay a *copy* of the log (promotion repairs in place)."""
     copy = tmp_path / f"expected-{tag}.jsonl"
-    shutil.copyfile(path, copy)
+    shutil.copytree(path, copy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TornTailWarning)
         return StoreEngine.replay(copy)
@@ -603,11 +603,12 @@ class TestPromotionDurability:
         engine = _mk_engine(n=12, wal=source)
         _commit_rows(engine, manager_stream(12, 3))
         engine.close()
-        data = source.read_bytes()
+        data = WriteAheadLog.segment_paths(source)[-1].read_bytes()
         last_start = data.rstrip(b"\n").rfind(b"\n") + 1
         for cut in range(last_start + 1, len(data)):
             wal = tmp_path / f"cut-{cut}.jsonl"
-            wal.write_bytes(data[:cut])
+            wal.mkdir()
+            (wal / "wal.000001.jsonl").write_bytes(data[:cut])
             expected = _expected_from(wal, tmp_path, f"cut-{cut}")
             promoted = promote(ReplicaEngine(wal))
             assert promoted.epoch == 1, f"cut at byte {cut}"

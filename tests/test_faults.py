@@ -129,7 +129,8 @@ class TestFaultyWal:
             wal.append({"type": "commit", "n": 2})
         # The torn bytes are fsynced: power loss does not remove them.
         assert wal.simulate_power_loss() == {}
-        data = (tmp_path / "w.jsonl").read_bytes()
+        data = WriteAheadLog.segment_paths(tmp_path / "w.jsonl")[-1] \
+            .read_bytes()
         assert len(data.split(b"\n")[-1]) == 7  # the 7-byte cut
         with pytest.warns(TornTailWarning):
             records = list(WriteAheadLog.records(tmp_path / "w.jsonl"))
@@ -189,7 +190,7 @@ class TestFaultyWal:
                             FaultPlan(seed=33, trips={"wal.torn": [0]}))
             with pytest.raises(InjectedCrash):
                 wal.append({"type": "commit", "n": 0})
-            tails.append(path.read_bytes())
+            tails.append(WriteAheadLog.segment_paths(path)[-1].read_bytes())
         assert tails[0] == tails[1]
 
     def test_engine_commit_through_faulty_wal(self, tmp_path):

@@ -94,9 +94,9 @@ class TestLiveTailDifferential:
         _assert_same_graph(replica.graph, engine.graph, f"seed {seed}")
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_single_file_wal_live_tail(self, seed, tmp_path):
-        """The same convergence over an unsegmented single-file log
-        (checkpoints inline, no rotation)."""
+    def test_unbounded_wal_live_tail(self, seed, tmp_path):
+        """The same convergence over a log with no rotation bound: only
+        checkpoints start a new segment, and each heads its own."""
         rng = random.Random(100 + seed)
         (schema, db), *_ = random_database_states(rng, rows_per_leaf=2)
         path = tmp_path / "store.wal"
@@ -104,6 +104,9 @@ class TestLiveTailDifferential:
         replica = ReplicaEngine(path, from_checkpoint=False)
         _drive(rng, engine, db, 10, replica=replica)
         engine.close()
+        heads = [WriteAheadLog.first_record(p)["type"]
+                 for p in WriteAheadLog.segment_paths(path)]
+        assert heads == ["snapshot"] + ["checkpoint"] * (len(heads) - 1)
         replica.catch_up()
         full = StoreEngine.replay(path, from_checkpoint=False)
         _assert_same_graph(replica.graph, full.graph)
@@ -154,7 +157,9 @@ class TestCheckpointBootstrap:
         # and the head it serves is the primary's head
         assert replica.head_version().vid == engine.head_version().vid
 
-    def test_bootstrap_from_single_file_inline_checkpoint(self, tmp_path):
+    def test_bootstrap_from_unbounded_log_checkpoint(self, tmp_path):
+        """With no rotation bound the newest checkpoint still heads its
+        own segment, so the bootstrap seek lands on it directly."""
         schema, db, constraints = serving_state(8)
         path = tmp_path / "store.wal"
         engine = StoreEngine(db, constraints, wal=path,
@@ -163,10 +168,12 @@ class TestCheckpointBootstrap:
         for row in manager_stream(8, 5):
             session.run([("insert", "manager", row)])
         engine.close()
+        assert len(WriteAheadLog.segment_paths(path)) == 3
         replica = ReplicaEngine(path)
         replica.catch_up()
         ck = StoreEngine.replay(path, from_checkpoint=True)
         _assert_same_graph(replica.graph, ck.graph)
+        assert replica.graph.root.vid == "v4"  # the newest checkpoint
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +338,7 @@ class TestCatchUpDeadline:
         session = SessionService(engine).session()
         session.run([("insert", "manager", manager_stream(n, 1)[0])])
         engine.close()
-        with open(wal, "ab") as f:
+        with open(WriteAheadLog.segment_paths(wal)[-1], "ab") as f:
             f.write(b'{"type": "commit", "ver')  # forever half-written
         return wal
 

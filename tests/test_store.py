@@ -565,12 +565,14 @@ class TestWalReplay:
 
     def test_corrupt_wal_reported(self, tmp_path):
         path = tmp_path / "bad.wal"
-        path.write_text('{"type": "snapshot"\nnot json\n')
-        with pytest.raises(StoreError):
+        path.mkdir()
+        (path / "wal.000001.jsonl").write_text(
+            '{"type": "snapshot"\nnot json\n')
+        with pytest.raises(StoreError, match="corrupt WAL line 1"):
             list(WriteAheadLog.records(path))
         empty = tmp_path / "empty.wal"
-        empty.write_text("")
-        with pytest.raises(StoreError):
+        WriteAheadLog(empty).close()
+        with pytest.raises(StoreError, match="empty WAL"):
             StoreEngine.replay(empty)
 
     def test_tampered_wal_fails_verify(self, tmp_path):
@@ -580,10 +582,11 @@ class TestWalReplay:
         engine.commit(engine.begin().insert("manager", row))
         engine.close()
         # tamper: break the logged row's worksfor support
-        lines = path.read_text().splitlines()
+        segment = WriteAheadLog.segment_paths(path)[-1]
+        lines = segment.read_text().splitlines()
         lines[1] = lines[1].replace(f'"budget": {row["budget"]}',
                                     f'"budget": {(row["budget"] + 1) % 53}')
-        path.write_text("\n".join(lines) + "\n")
+        segment.write_text("\n".join(lines) + "\n")
         with pytest.raises(CommitRejected):
             StoreEngine.replay(path, verify=True)
 

@@ -16,14 +16,19 @@ collected states becoming actual garbage (weakref asserts).
 """
 
 import gc as pygc
+import json
 import os
+import tempfile
 import threading
 import warnings
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError, TornTailWarning
+from repro.server import ReplicaEngine, promote
 from repro.store import (
     SessionService,
     StoreEngine,
@@ -53,9 +58,14 @@ def _head_states(engine):
             for name in engine.graph.heads}
 
 
+def _tail(wal):
+    """The log's last segment: where a crash mid-append tears."""
+    return WriteAheadLog.segment_paths(wal)[-1]
+
+
 @pytest.fixture
 def logged(tmp_path):
-    """A closed single-file WAL holding a snapshot + 5 commits."""
+    """A closed one-segment WAL holding a snapshot + 5 commits."""
     wal = tmp_path / "store.wal"
     engine = _mk_engine(wal=wal)
     _commit_rows(engine, manager_stream(60, 5))
@@ -69,8 +79,8 @@ def logged(tmp_path):
 class TestTornTail:
     def test_records_tolerates_torn_final_line(self, logged):
         wal, _ = logged
-        data = wal.read_bytes()
-        wal.write_bytes(data[:-7])  # tear the last record mid-line
+        data = _tail(wal).read_bytes()
+        _tail(wal).write_bytes(data[:-7])  # tear the last record mid-line
         with pytest.warns(TornTailWarning):
             records = list(WriteAheadLog.records(wal))
         assert len(records) == 5  # snapshot + 4 intact commits
@@ -78,7 +88,7 @@ class TestTornTail:
 
     def test_torn_tail_policies(self, logged):
         wal, _ = logged
-        wal.write_bytes(wal.read_bytes()[:-7])
+        _tail(wal).write_bytes(_tail(wal).read_bytes()[:-7])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = list(WriteAheadLog.records(wal, torn_tail="ignore"))
@@ -90,7 +100,7 @@ class TestTornTail:
 
     def test_record_missing_final_newline_is_complete(self, logged):
         wal, _ = logged
-        wal.write_bytes(wal.read_bytes().rstrip(b"\n"))
+        _tail(wal).write_bytes(_tail(wal).read_bytes().rstrip(b"\n"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = list(WriteAheadLog.records(wal))
@@ -99,12 +109,12 @@ class TestTornTail:
 
     def test_repair_truncates_and_is_idempotent(self, logged):
         wal, _ = logged
-        intact = wal.read_bytes()
+        intact = _tail(wal).read_bytes()
         torn = intact[:-7]
-        wal.write_bytes(torn)
+        _tail(wal).write_bytes(torn)
         last_line_start = intact.rstrip(b"\n").rfind(b"\n") + 1
         assert WriteAheadLog.repair(wal) == len(torn) - last_line_start
-        assert wal.read_bytes() == intact[:last_line_start]
+        assert _tail(wal).read_bytes() == intact[:last_line_start]
         assert WriteAheadLog.repair(wal) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -112,7 +122,7 @@ class TestTornTail:
 
     def test_replay_recovers_intact_prefix(self, logged):
         wal, original = logged
-        wal.write_bytes(wal.read_bytes()[:-7])
+        _tail(wal).write_bytes(_tail(wal).read_bytes()[:-7])
         with pytest.warns(TornTailWarning):
             engine = StoreEngine.replay(wal)
         assert len(engine.graph) == 5  # v0..v4: the torn v5 is dropped
@@ -125,9 +135,9 @@ class TestTornTail:
 
     def test_mid_log_corruption_raises(self, logged):
         wal, _ = logged
-        lines = wal.read_bytes().splitlines(keepends=True)
+        lines = _tail(wal).read_bytes().splitlines(keepends=True)
         lines[2] = b'{"type": "commit", "version"\n'  # torn, but not final
-        wal.write_bytes(b"".join(lines))
+        _tail(wal).write_bytes(b"".join(lines))
         with pytest.raises(StoreError, match="corrupt WAL line 3"):
             list(WriteAheadLog.records(wal))
         with pytest.raises(StoreError, match="not a torn tail"):
@@ -137,7 +147,7 @@ class TestTornTail:
 
     def test_non_object_final_line_is_torn_not_trusted(self, logged):
         wal, _ = logged
-        with open(wal, "ab") as fh:
+        with open(_tail(wal), "ab") as fh:
             fh.write(b'"just a string"\n')
         with pytest.warns(TornTailWarning):
             records = list(WriteAheadLog.records(wal))
@@ -180,8 +190,8 @@ class TestWalLifecycle:
         assert len(synced) > created, "rotation must fsync the directory"
         wal.close()
 
-    def test_single_file_creation_fsyncs_directory(self, tmp_path,
-                                                   monkeypatch):
+    def test_unbounded_log_creation_fsyncs_directory(self, tmp_path,
+                                                     monkeypatch):
         import repro.store.wal as walmod
 
         synced = []
@@ -212,6 +222,54 @@ class TestWalLifecycle:
         assert [r["i"] for r in WriteAheadLog.records(tmp_path / "seg")] \
             == list(range(8))
 
+    def test_regular_file_path_is_refused_with_the_migration(
+            self, tmp_path):
+        legacy = tmp_path / "old.wal"
+        legacy.write_text('{"type": "noop"}\n')
+        for attempt in (lambda: WriteAheadLog(legacy),
+                        lambda: list(WriteAheadLog.records(legacy)),
+                        lambda: StoreEngine.replay(legacy),
+                        lambda: _mk_engine(wal=legacy)):
+            with pytest.raises(StoreError, match="regular file") as caught:
+                attempt()
+            message = str(caught.value)
+            assert f"mkdir D && mv {legacy} D/wal.000001.jsonl" in message
+            assert "checkpoint D" in message and "old.wal.epoch" in message
+        assert legacy.read_text() == '{"type": "noop"}\n'  # untouched
+
+    def test_migration_recipe_keeps_history_and_epoch(self, tmp_path,
+                                                       capsys):
+        """A single-file log (every record inline, the promotion's epoch
+        record included) moved into a directory replays unchanged, and
+        the recipe's checkpoint lifts its epoch to a segment head."""
+        from repro import cli
+
+        source = tmp_path / "source"
+        engine = _mk_engine(wal=source)
+        rows = manager_stream(60, 5)
+        _commit_rows(engine, rows[:3])
+        engine.checkpoint()
+        engine.close()
+        promoted = promote(ReplicaEngine(source))
+        _commit_rows(promoted, rows[3:])
+        promoted.close()
+        legacy = tmp_path / "old.wal"
+        legacy.write_bytes(b"".join(
+            p.read_bytes() for p in WriteAheadLog.segment_paths(source)))
+
+        migrated = tmp_path / "D"
+        migrated.mkdir()
+        legacy.rename(migrated / "wal.000001.jsonl")
+        replayed = StoreEngine.replay(migrated, verify=True)
+        assert replayed.graph.branches() == promoted.graph.branches()
+        assert replayed.state() == promoted.state()
+        assert replayed.epoch == 1
+        assert WriteAheadLog.current_epoch(migrated) == 0  # epoch inline
+        assert cli.main(["checkpoint", str(migrated)]) == 0
+        capsys.readouterr()
+        assert WriteAheadLog.current_epoch(migrated) == 1
+        assert StoreEngine.replay(migrated).epoch == 1
+
     def test_engine_refuses_populated_wal(self, logged):
         wal, _ = logged
         with pytest.raises(StoreError, match="already has records"):
@@ -227,7 +285,9 @@ class TestCheckpoint:
         with pytest.raises(StoreError, match="WAL-backed"):
             engine.checkpoint()
 
-    def test_single_file_inline_checkpoint(self, tmp_path):
+    def test_unbounded_log_checkpoint_heads_a_segment(self, tmp_path):
+        """With no rotation bound a checkpoint still starts a new
+        segment, so replay finds it by peeking at segment heads."""
         wal = tmp_path / "store.wal"
         engine = _mk_engine(wal=wal)
         rows = manager_stream(60, 8)
@@ -236,6 +296,10 @@ class TestCheckpoint:
         assert record["seq"] == 5
         _commit_rows(engine, rows[5:])
         engine.close()
+        segments = WriteAheadLog.segment_paths(wal)
+        assert [WriteAheadLog.first_record(p)["type"] for p in segments] \
+            == ["snapshot", "checkpoint"]
+        assert WriteAheadLog.checkpoint_floor(segments) == 1
 
         partial = StoreEngine.replay(wal)
         assert len(partial.graph) == 4  # v5 floor + v6..v8
@@ -346,29 +410,100 @@ class TestCheckpoint:
         restored = StoreEngine.replay(wal, wal=fresh)
         _commit_rows(restored, rows[4:])
         restored.close()
-        first = WriteAheadLog.first_record(fresh)
+        first = WriteAheadLog.first_record(
+            WriteAheadLog.segment_paths(fresh)[0])
         assert first["type"] == "checkpoint"
         again = StoreEngine.replay(fresh)
         assert again.head_version().vid == restored.head_version().vid
         assert again.state() == restored.state()
 
     def test_verified_replay_detects_tampered_checkpoint(self, tmp_path):
-        import json
-
         wal = tmp_path / "store.wal"
         engine = _mk_engine(wal=wal)
         _commit_rows(engine, manager_stream(60, 3))
         engine.checkpoint()
         engine.close()
-        lines = wal.read_text(encoding="utf-8").splitlines()
+        lines = _tail(wal).read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[-1])
         assert record["type"] == "checkpoint"
         doc = record["branches"]["main"]["document"]
         doc["relations"]["manager"].pop()  # drop a row from the document
         lines[-1] = json.dumps(record, sort_keys=True)
-        wal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _tail(wal).write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(StoreError, match="drift"):
             StoreEngine.replay(wal, from_checkpoint=False, verify=True)
+
+
+# ----------------------------------------------------------------------
+# the segment-head invariant replay, replicas and the fence rely on
+# ----------------------------------------------------------------------
+ACTIONS = st.lists(
+    st.one_of(st.tuples(st.just("commit"), st.integers(0, 3)),
+              st.tuples(st.just("checkpoint")),
+              st.tuples(st.just("branch"), st.integers(0, 3)),
+              st.tuples(st.just("promote"))),
+    max_size=14)
+
+
+class TestSegmentHeadInvariant:
+    @settings(max_examples=40, deadline=None)
+    @given(actions=ACTIONS,
+           segment_records=st.none() | st.integers(1, 6),
+           segment_bytes=st.none() | st.integers(200, 4000))
+    def test_checkpoints_and_epochs_head_their_segments(
+            self, actions, segment_records, segment_bytes):
+        """Any interleaving of commits, checkpoints, branches and
+        promotions under any rotation bounds (none included): every
+        checkpoint or epoch record is its segment's first record, so
+        replay from the newest checkpoint-headed segment equals a full
+        replay, and a replica bootstrapped there converges to it."""
+        bounds = {"segment_records": segment_records,
+                  "segment_bytes": segment_bytes}
+        rows = iter(manager_stream(30, 20))
+        promotions = 0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "wal"
+            engine = _mk_engine(n=30, wal=WriteAheadLog(path, **bounds))
+            for action in actions:
+                names = sorted(engine.graph.heads)
+                if action[0] == "commit":
+                    name = names[action[1] % len(names)]
+                    SessionService(engine).session(name).run(
+                        [("insert", "manager", next(rows))])
+                elif action[0] == "checkpoint":
+                    engine.checkpoint()
+                elif action[0] == "branch":
+                    engine.branch(f"b{len(names)}",
+                                  from_branch=names[action[1] % len(names)])
+                else:
+                    engine.close()
+                    engine = promote(ReplicaEngine(path), **bounds)
+                    promotions += 1
+            engine.close()
+
+            for segment in WriteAheadLog.segment_paths(path):
+                kinds = [json.loads(line)["type"]
+                         for line in segment.read_bytes().splitlines()]
+                assert all(kind not in ("checkpoint", "epoch")
+                           for kind in kinds[1:]), (segment.name, kinds)
+            assert WriteAheadLog.current_epoch(path) == promotions
+
+            partial = StoreEngine.replay(path)
+            full = StoreEngine.replay(path, from_checkpoint=False)
+            assert partial.graph.branches() == full.graph.branches() \
+                == engine.graph.branches()
+            assert partial.graph.seq == full.graph.seq
+            assert partial.epoch == full.epoch == promotions
+            for name in full.graph.heads:
+                assert partial.state(branch=name) == full.state(branch=name)
+
+            replica = ReplicaEngine(path)
+            replica.catch_up()
+            assert [v.vid for v in replica.graph.log()] \
+                == [v.vid for v in partial.graph.log()]
+            for version in partial.graph.log():
+                assert replica.graph.get(version.vid).state == version.state
+            assert replica.graph.branches() == full.graph.branches()
 
 
 # ----------------------------------------------------------------------
@@ -494,11 +629,12 @@ class TestCrashInjection:
         engine = _mk_engine(n=30, wal=wal)
         _commit_rows(engine, manager_stream(30, 5))
         engine.close()
-        data = wal.read_bytes()
+        data = _tail(wal).read_bytes()
         last_start = data.rstrip(b"\n").rfind(b"\n") + 1
         target = tmp_path / "cut.wal"
+        target.mkdir()
         for cut in range(last_start, len(data) + 1):
-            target.write_bytes(data[:cut])
+            (target / "wal.000001.jsonl").write_bytes(data[:cut])
             complete = cut >= len(data) - 1  # only the newline missing
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TornTailWarning)
@@ -514,7 +650,7 @@ class TestCrashInjection:
 
     def test_torn_segment_boundary(self, tmp_path):
         """Tearing the last record of a segmented log behaves exactly
-        like the single-file case — only the final segment's final line
+        like the one-segment case — only the final segment's final line
         is ever forgiven."""
         path = tmp_path / "seg"
         engine = _mk_engine(n=30, wal=WriteAheadLog(path, segment_records=3))
